@@ -417,7 +417,6 @@ fn emit_json() {
         .ok()
         .and_then(|text| matelda_bench::json::Json::parse(&text).ok())
         .and_then(|doc| doc.get("scale").cloned())
-        .filter(|s| matches!(s, matelda_bench::json::Json::Obj(_)))
         .map(|s| format!(",\"scale\":{}", s.render()))
         .unwrap_or_default();
     let threads_compared =

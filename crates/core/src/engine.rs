@@ -20,6 +20,10 @@
 //! from any persisted artifact, or swap one stage for a custom
 //! implementation — the artifacts are the contract.
 //!
+//! Embed and featurize are the only stages that read cell values; in an
+//! out-of-core run they read each table from a columnar directory
+//! inside its work item (see [`crate::scale`]).
+//!
 //! ## Determinism
 //!
 //! Four hot paths run on the executor: per-table embedding, per-table
@@ -71,13 +75,14 @@ use crate::domain_fold::{
 };
 use crate::pipeline::{FaultPolicy, LabelingStrategy, MateldaConfig, TrainingStrategy};
 use crate::quality_fold::{budget_per_fold, quality_folds, single_quality_fold, QualityFold};
+use crate::scale::ColumnarTables;
 use matelda_detect::{featurize_table, CellFeatures};
 use matelda_embed::encoder::HashedEncoder;
 use matelda_exec::{faultpoint, Deadline, Executor, ItemFault, RunReport, StageReport};
 use matelda_ml::FittedClassifier;
 use matelda_obs::{Buckets, Obs, Val};
 use matelda_table::oracle::Labeler;
-use matelda_table::{CellId, CellMask, Lake};
+use matelda_table::{CellId, CellMask, Lake, Table};
 use matelda_text::SpellChecker;
 
 pub use crate::domain_fold::EmbeddedLake;
@@ -149,32 +154,29 @@ pub struct StageContext<'a> {
     /// registry and the event log all append here. Disabled by default
     /// — recording never influences results (DESIGN.md §7).
     pub obs: Obs,
+    /// The columnar directory embed and featurize read tables from in
+    /// an out-of-core run, whose `lake` is then a shapes-only skeleton;
+    /// `None` reads `lake` itself.
+    pub(crate) columnar: Option<&'a ColumnarTables<'a>>,
 }
 
 impl<'a> StageContext<'a> {
     /// Builds a context for one run; the executor honours
     /// [`MateldaConfig::threads`] (`0` = available parallelism).
     pub fn new(lake: &'a Lake, config: &'a MateldaConfig) -> Self {
-        Self::with_obs(lake, config, Obs::disabled())
-    }
-
-    /// [`StageContext::new`] with a recording observability handle; the
-    /// executor shares it, so worker spans nest under the stage spans.
-    pub fn with_obs(lake: &'a Lake, config: &'a MateldaConfig, obs: Obs) -> Self {
         // One persistent worker pool per run: the Executor owns it, every
         // stage maps through this one instance (clones share the pool),
         // and its threads wind down when the context drops.
-        let executor = Executor::new(config.threads);
-        Self::with_executor(lake, config, obs, executor)
+        Self::with_executor(lake, config, Obs::disabled(), Executor::new(config.threads))
     }
 
-    /// [`StageContext::with_obs`] against a caller-supplied executor —
-    /// the seam that lets a daemon run many concurrent detections on one
-    /// shared worker pool instead of spawning a pool per request. The
-    /// executor is re-bound to `obs` so worker spans land in *this*
-    /// run's trace, not a previous tenant's; `config.threads` is ignored
-    /// in favour of the executor's own width (thread count never changes
-    /// result bits).
+    /// A context against a caller-supplied executor and observability
+    /// handle — the seam that lets a daemon run many concurrent
+    /// detections on one shared worker pool instead of spawning a pool
+    /// per request. The executor is re-bound to `obs` so worker spans
+    /// nest under this run's stage spans, not a previous tenant's;
+    /// `config.threads` is ignored in favour of the executor's own width
+    /// (thread count never changes result bits).
     pub fn with_executor(
         lake: &'a Lake,
         config: &'a MateldaConfig,
@@ -191,7 +193,45 @@ impl<'a> StageContext<'a> {
             quarantine: QuarantineReport::default(),
             deadline: None,
             obs,
+            columnar: None,
         }
+    }
+
+    /// Maps `f` over every table on the executor under the stage
+    /// deadline, merging in table order. A quarantined table gets
+    /// `fallback` without being read; so does a table whose work item
+    /// faults, which is then quarantined (see [`Self::note_faults`]). A
+    /// columnar directory is read one table per work item; a table it
+    /// cannot read is passed as its skeleton, and the driver fails the
+    /// run after the stage.
+    fn map_tables<R, F>(&mut self, stage: &str, f: F, fallback: fn(&Table) -> R) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &Table) -> R + Sync,
+    {
+        let (quarantined, columnar) = (&self.quarantine.tables, self.columnar);
+        let results =
+            self.executor.try_map_within(stage, &self.lake.tables, self.deadline, |ti, t| {
+                match columnar {
+                    _ if quarantined.contains(&ti) => fallback(t),
+                    None => f(ti, t),
+                    Some(c) => c.read(ti).map_or_else(|| f(ti, t), |read| f(ti, &read)),
+                }
+            });
+        let mut out = Vec::with_capacity(results.len());
+        let mut faults = Vec::new();
+        for (ti, r) in results.into_iter().enumerate() {
+            match r {
+                Ok(v) => out.push(v),
+                Err(fault) => {
+                    out.push(fallback(&self.lake.tables[ti]));
+                    faults.push(fault);
+                    self.quarantine_table(ti);
+                }
+            }
+        }
+        self.note_faults(faults);
+        out
     }
 
     /// The per-index seed for parallel stochastic work: mixes `index`
@@ -415,29 +455,11 @@ impl Stage for EmbedStage {
             // never clustered) and the run continues.
             DomainFolding::Hdbscan | DomainFolding::RowSampling(_) => {
                 let encoder = &self.encoder;
-                let results = ctx.executor.try_map_within(
-                    self.name(),
-                    &ctx.lake.tables,
-                    ctx.deadline,
-                    |ti, t| {
-                        faultpoint::hit("embed", ti);
-                        embed_table_for(cfg.domain_folding, encoder, cfg.seed, ti, t)
-                    },
-                );
-                let mut vecs = Vec::with_capacity(results.len());
-                let mut faults = Vec::new();
-                for (ti, r) in results.into_iter().enumerate() {
-                    match r {
-                        Ok(v) => vecs.push(v),
-                        Err(fault) => {
-                            vecs.push(Vec::new());
-                            faults.push(fault);
-                            ctx.quarantine_table(ti);
-                        }
-                    }
-                }
-                ctx.note_faults(faults);
-                EmbeddedLake::Vectors(vecs)
+                let embed = |ti, t: &Table| {
+                    faultpoint::hit("embed", ti);
+                    embed_table_for(cfg.domain_folding, encoder, cfg.seed, ti, t)
+                };
+                EmbeddedLake::Vectors(ctx.map_tables(self.name(), embed, |_| Vec::new()))
             }
             // Whole-lake strategies (EDF, Santos) have no per-table unit
             // of work to isolate; they run unguarded.
@@ -557,34 +579,14 @@ impl Stage for FeaturizeStage {
         let placeholder = |t: &matelda_table::Table| {
             CellFeatures::zeros(t.n_cols(), 0, matelda_detect::FEATURE_DIM)
         };
-        let quarantined: Vec<bool> = {
-            let mut q = vec![false; ctx.lake.n_tables()];
-            for &t in &ctx.quarantine.tables {
-                q[t] = true;
-            }
-            q
+        let featurize = |ti, t: &Table| {
+            faultpoint::hit("featurize", ti);
+            featurize_table(t, spell, cfg)
         };
-        let results =
-            ctx.executor.try_map_within(self.name(), &ctx.lake.tables, ctx.deadline, |ti, t| {
-                if quarantined[ti] {
-                    return placeholder(t);
-                }
-                faultpoint::hit("featurize", ti);
-                featurize_table(t, spell, cfg)
-            });
-        let mut features = Vec::with_capacity(results.len());
-        let mut faults = Vec::new();
-        for (ti, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(f) => features.push(f),
-                Err(fault) => {
-                    features.push(placeholder(&ctx.lake.tables[ti]));
-                    faults.push(fault);
-                    ctx.quarantine_table(ti);
-                }
-            }
+        let features = ctx.map_tables(self.name(), featurize, placeholder);
+        if let Some(c) = ctx.columnar {
+            c.spill(&features, &ctx.executor);
         }
-        ctx.note_faults(faults);
         stage.items = ctx.lake.n_cells() as u64;
         FeaturizedLake { features }
     }
@@ -697,6 +699,18 @@ impl Stage for QualityFoldStage {
     }
 }
 
+/// The ED2-style two-phase budget split (Neutatz et al.): with
+/// [`LabelingStrategy::UncertaintyRefinement`], per-column training and
+/// at least 4 labels, quality folding gets the first half of `budget`
+/// and the label stage spends the rest on refinement. `Some(first
+/// half)` when the split applies.
+pub(crate) fn refinement_split(cfg: &MateldaConfig, budget: usize) -> Option<usize> {
+    let split = cfg.labeling == LabelingStrategy::UncertaintyRefinement
+        && cfg.training == TrainingStrategy::PerColumn
+        && budget >= 4;
+    split.then(|| budget.div_ceil(2))
+}
+
 /// Below this many anchor-selection items *per thread*, the label
 /// stage's executor map runs inline instead of spawning workers (see
 /// [`Executor::with_inline_threshold`]): at the bench scale the stage
@@ -761,10 +775,7 @@ impl Stage for LabelStage<'_> {
 
         // Extension: uncertainty-driven refinement with the rest of the
         // budget (only reachable when the config reserved it).
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && self.budget >= 4;
-        if adaptive {
+        if refinement_split(cfg, self.budget).is_some() {
             let remaining = self.budget.saturating_sub(phase1);
             refine_with_uncertainty(
                 ctx,
@@ -812,15 +823,75 @@ impl Stage for ClassifyStage {
         (domain, featurized, propagated): (&DomainFolds, &FeaturizedLake, &PropagatedLabels),
         stage: &mut StageReport,
     ) -> Predictions {
-        let (mask, faults, fallback_cols) = match ctx.config.training {
-            TrainingStrategy::PerColumn => {
-                train_per_column(ctx, featurized, &propagated.labels, stage)
-            }
+        // One model per column (the paper's default) or per domain fold
+        // (TPDF / TUCF). Quarantined tables' columns get no model and
+        // stay unflagged; folds never contain them (they were excluded
+        // before clustering).
+        let lake = ctx.lake;
+        let units: Vec<Vec<(usize, usize)>> = match ctx.config.training {
+            TrainingStrategy::PerColumn => (0..lake.n_tables())
+                .filter(|&t| !ctx.quarantine.table_quarantined(t))
+                .flat_map(|t| (0..lake[t].n_cols()).map(move |c| vec![(t, c)]))
+                .collect(),
             TrainingStrategy::PerDomainFold | TrainingStrategy::UnlabeledCellFolds => {
-                train_per_fold(ctx, featurized, &propagated.labels, &domain.folds, stage)
+                domain.folds.iter().map(|f| f.columns.clone()).collect()
             }
         };
-        ctx.quarantine.columns.extend(fallback_cols);
+        stage.metrics.push(("models".into(), units.len() as f64));
+        let labels = &propagated.labels;
+        // Trained in parallel, predictions merged in unit order.
+        let flagged: Vec<Result<(Vec<CellId>, bool), ItemFault>> =
+            ctx.executor.try_map_within(self.name(), &units, ctx.deadline, |i, columns| {
+                faultpoint::hit("classify", i);
+                let (x, y) = training_set(lake, featurized, labels, columns);
+                let model =
+                    FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
+                let mut ids = Vec::new();
+                for &(t, c) in columns {
+                    for r in 0..lake[t].n_rows() {
+                        if model.predict(featurized.features[t].get(r, c)) {
+                            ids.push(CellId::new(t, r, c));
+                        }
+                    }
+                }
+                (ids, model.used_binned())
+            });
+        let mut mask = CellMask::empty(lake);
+        let mut faults = Vec::new();
+        for (columns, result) in units.iter().zip(flagged) {
+            match result {
+                Ok((ids, used_binned)) => {
+                    // Which GBM training kernel fitted the model: a silent
+                    // wholesale fallback to the exact path (high-cardinality
+                    // or NaN features) shows in the metrics dump.
+                    if ctx.obs.is_enabled() {
+                        let key = if used_binned {
+                            "classify.binned_fits"
+                        } else {
+                            "classify.exact_fits"
+                        };
+                        ctx.obs.counter_add(key, 1);
+                    }
+                    for id in ids {
+                        mask.set(id, true);
+                    }
+                }
+                Err(fault) => {
+                    // The fallback: the propagated labels stand in for the
+                    // model that could not be trained.
+                    faults.push(fault);
+                    for &(t, c) in columns {
+                        ctx.quarantine.columns.push((t, c));
+                        let m = lake[t].n_cols();
+                        for r in 0..lake[t].n_rows() {
+                            if labels[t][r * m + c] == Some(true) {
+                                mask.set(CellId::new(t, r, c), true);
+                            }
+                        }
+                    }
+                }
+            }
+        }
         ctx.note_faults(faults);
         stage.items = ctx.lake.n_cells() as u64;
         stage.metrics.push(("flagged".into(), mask.count() as f64));
@@ -842,17 +913,8 @@ pub(crate) fn fit_column_models(
         .enumerate()
         .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
         .collect();
-    let models = ctx.executor.map(&columns, |_, &(t, c)| {
-        let table = &lake.tables[t];
-        let m = table.n_cols();
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for r in 0..table.n_rows() {
-            if let Some(lab) = labels[t][r * m + c] {
-                x.push(featurized.features[t].get(r, c).to_vec());
-                y.push(lab);
-            }
-        }
+    let models = ctx.executor.map(&columns, |_, &col| {
+        let (x, y) = training_set(lake, featurized, labels, &[col]);
         FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor)
     });
     // Re-nest the flat, index-ordered model list per table.
@@ -863,159 +925,26 @@ pub(crate) fn fit_column_models(
     nested
 }
 
-/// One classifier per column (the paper's default), trained in parallel
-/// with predictions merged in `(table, column)` order. Quarantined
-/// tables' columns get no model and stay unflagged; a column whose
-/// training or prediction faults falls back to its propagated labels.
-/// Returns the mask plus the faults and fallback columns for the caller
-/// to apply to the context.
-fn train_per_column(
-    ctx: &StageContext<'_>,
-    featurized: &FeaturizedLake,
-    labels: &[Vec<Option<bool>>],
-    stage: &mut StageReport,
-) -> (CellMask, Vec<ItemFault>, Vec<(usize, usize)>) {
-    let lake = ctx.lake;
-    let columns: Vec<(usize, usize)> = lake
-        .tables
-        .iter()
-        .enumerate()
-        .filter(|&(t, _)| !ctx.quarantine.table_quarantined(t))
-        .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
-        .collect();
-    stage.metrics.push(("models".into(), columns.len() as f64));
-    let flagged: Vec<Result<(Vec<usize>, bool), ItemFault>> =
-        ctx.executor.try_map_within("classify", &columns, ctx.deadline, |i, &(t, c)| {
-            faultpoint::hit("classify", i);
-            let table = &lake.tables[t];
-            let m = table.n_cols();
-            let mut x = Vec::new();
-            let mut y = Vec::new();
-            for r in 0..table.n_rows() {
-                if let Some(lab) = labels[t][r * m + c] {
-                    x.push(featurized.features[t].get(r, c).to_vec());
-                    y.push(lab);
-                }
-            }
-            let model = FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
-            let rows = (0..table.n_rows())
-                .filter(|&r| model.predict(featurized.features[t].get(r, c)))
-                .collect();
-            (rows, model.used_binned())
-        });
-    let mut predicted = CellMask::empty(lake);
-    let mut faults = Vec::new();
-    let mut fallback_cols = Vec::new();
-    for (&(t, c), result) in columns.iter().zip(flagged) {
-        match result {
-            Ok((rows, used_binned)) => {
-                record_fit_kernel(ctx, used_binned);
-                for r in rows {
-                    predicted.set(CellId::new(t, r, c), true);
-                }
-            }
-            Err(fault) => {
-                faults.push(fault);
-                fallback_cols.push((t, c));
-                flag_propagated(lake, labels, t, c, &mut predicted);
-            }
-        }
-    }
-    (predicted, faults, fallback_cols)
-}
-
-/// Records which GBM training kernel one classify work item used:
-/// `classify.binned_fits` counts histogram-kernel fits,
-/// `classify.exact_fits` counts exact-path fallbacks (high-cardinality
-/// or NaN features — see [`matelda_ml::BinnedDataset::build`]). The
-/// split makes a silent wholesale fallback to the slow path visible in
-/// the metrics dump. No-op when tracing is off.
-fn record_fit_kernel(ctx: &StageContext<'_>, used_binned: bool) {
-    if ctx.obs.is_enabled() {
-        let key = if used_binned { "classify.binned_fits" } else { "classify.exact_fits" };
-        ctx.obs.counter_add(key, 1);
-    }
-}
-
-/// The classifier fallback: flag exactly the cells of `(t, c)` whose
-/// propagated label says "erroneous" — the label-propagation verdict
-/// stands in for the model that could not be trained.
-fn flag_propagated(
+/// The training set of `columns`: every labeled cell's feature vector
+/// and propagated label, column by column, rows in order.
+fn training_set(
     lake: &Lake,
-    labels: &[Vec<Option<bool>>],
-    t: usize,
-    c: usize,
-    predicted: &mut CellMask,
-) {
-    let m = lake[t].n_cols();
-    for r in 0..lake[t].n_rows() {
-        if labels[t][r * m + c] == Some(true) {
-            predicted.set(CellId::new(t, r, c), true);
-        }
-    }
-}
-
-/// One classifier per domain fold (TPDF / TUCF), trained in parallel
-/// with predictions merged in fold order. Folds never contain
-/// quarantined tables (they were excluded before clustering); a fold
-/// whose model faults falls back to propagated labels for all its
-/// columns.
-fn train_per_fold(
-    ctx: &StageContext<'_>,
     featurized: &FeaturizedLake,
     labels: &[Vec<Option<bool>>],
-    folds: &[Fold],
-    stage: &mut StageReport,
-) -> (CellMask, Vec<ItemFault>, Vec<(usize, usize)>) {
-    let lake = ctx.lake;
-    stage.metrics.push(("models".into(), folds.len() as f64));
-    let flagged: Vec<Result<(Vec<CellId>, bool), ItemFault>> =
-        ctx.executor.try_map_n_within("classify", folds.len(), ctx.deadline, |fi| {
-            faultpoint::hit("classify", fi);
-            let fold = &folds[fi];
-            let mut x = Vec::new();
-            let mut y = Vec::new();
-            for &(t, c) in &fold.columns {
-                let m = lake[t].n_cols();
-                for r in 0..lake[t].n_rows() {
-                    if let Some(lab) = labels[t][r * m + c] {
-                        x.push(featurized.features[t].get(r, c).to_vec());
-                        y.push(lab);
-                    }
-                }
-            }
-            let model = FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
-            let mut ids = Vec::new();
-            for &(t, c) in &fold.columns {
-                for r in 0..lake[t].n_rows() {
-                    if model.predict(featurized.features[t].get(r, c)) {
-                        ids.push(CellId::new(t, r, c));
-                    }
-                }
-            }
-            (ids, model.used_binned())
-        });
-    let mut predicted = CellMask::empty(lake);
-    let mut faults = Vec::new();
-    let mut fallback_cols = Vec::new();
-    for (fi, result) in flagged.into_iter().enumerate() {
-        match result {
-            Ok((ids, used_binned)) => {
-                record_fit_kernel(ctx, used_binned);
-                for id in ids {
-                    predicted.set(id, true);
-                }
-            }
-            Err(fault) => {
-                faults.push(fault);
-                for &(t, c) in &folds[fi].columns {
-                    fallback_cols.push((t, c));
-                    flag_propagated(lake, labels, t, c, &mut predicted);
-                }
+    columns: &[(usize, usize)],
+) -> (Vec<Vec<f32>>, Vec<bool>) {
+    let mut x = Vec::new();
+    let mut y = Vec::new();
+    for &(t, c) in columns {
+        let m = lake[t].n_cols();
+        for r in 0..lake[t].n_rows() {
+            if let Some(lab) = labels[t][r * m + c] {
+                x.push(featurized.features[t].get(r, c).to_vec());
+                y.push(lab);
             }
         }
     }
-    (predicted, faults, fallback_cols)
+    (x, y)
 }
 
 /// The uncertainty-refinement phase (see

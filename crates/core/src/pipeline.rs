@@ -1,18 +1,24 @@
 //! The Matelda pipeline orchestrator (paper Alg. 1, Steps 1–5).
 //!
-//! [`Matelda::detect`] composes the typed stages of [`crate::engine`];
-//! this module holds the run configuration, the result type and the
-//! facade. See the engine module for the stage and artifact types, and
-//! [`Matelda::detect_durable`] for the checkpoint/resume entry point.
+//! One private stage driver runs the six typed stages of
+//! [`crate::engine`] in order. [`Matelda::detect`],
+//! [`Matelda::detect_durable`], [`Matelda::detect_explained`] and
+//! [`Matelda::detect_out_of_core`] are thin wrappers over it that
+//! differ only in the table source (the in-memory lake or a columnar
+//! directory) and in whether a checkpoint store restores and commits
+//! each stage. This module also holds the run configuration and the
+//! result type.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::domain_fold::DomainFolding;
 use crate::engine::{
-    ClassifyStage, DomainFoldStage, DomainFolds, EmbedStage, FeaturizeStage, FeaturizedLake,
-    LabelStage, PropagatedLabels, QualityFoldStage, QualityFolds, Stage, StageContext,
+    refinement_split, ClassifyStage, DomainFoldStage, DomainFolds, EmbedStage, FeaturizeStage,
+    FeaturizedLake, LabelStage, PropagatedLabels, QualityFoldStage, QualityFolds, Stage,
+    StageContext,
 };
+use crate::scale::ColumnarTables;
 use crate::snapshot::{decode_snapshot, encode_snapshot, ArtifactCodec, CtxState};
 use matelda_ckpt::{CheckpointStore, CkptError, Manifest, Vfs};
 use matelda_detect::FeatureConfig;
@@ -20,6 +26,7 @@ use matelda_embed::encoder::EncoderConfig;
 use matelda_exec::{faultpoint, Executor, RunReport};
 use matelda_ml::ClassifierKind;
 use matelda_obs::{Obs, Val};
+use matelda_table::chunked::ChunkedError;
 use matelda_table::fingerprint::Fnv1a;
 use matelda_table::oracle::Labeler;
 use matelda_table::{lake_fingerprint, CellMask, Lake};
@@ -339,6 +346,15 @@ impl DurabilityState {
     }
 }
 
+/// Why the stage driver stopped before producing a result.
+#[derive(Debug)]
+pub(crate) enum RunError {
+    /// The checkpoint store failed (see [`Matelda::detect_durable`]).
+    Ckpt(CkptError),
+    /// The table source failed (see [`Matelda::detect_out_of_core`]).
+    Storage(ChunkedError),
+}
+
 /// Runs a stage, or restores its snapshot when resuming.
 ///
 /// While `resume_ok` holds, a verified snapshot short-circuits the
@@ -354,12 +370,15 @@ impl DurabilityState {
 /// committing — degrades the run instead (see
 /// [`DurabilityState::degrade`]): the stage runs (or keeps its computed
 /// artifact), and checkpointing is abandoned from here on.
+///
+/// A stage whose table source failed returns that storage error before
+/// anything is committed.
 fn run_or_restore<A, F>(
     ctx: &mut StageContext<'_>,
     dur: &mut DurabilityState,
     name: &str,
     run: F,
-) -> Result<A, CkptError>
+) -> Result<A, RunError>
 where
     A: ArtifactCodec,
     F: FnOnce(&mut StageContext<'_>) -> A,
@@ -371,7 +390,7 @@ where
             match loaded {
                 Ok(Some(payload)) => {
                     let (state, artifact) = decode_snapshot::<A>(&payload)
-                        .map_err(|reason| CkptError::Corrupt { path, reason })?;
+                        .map_err(|reason| RunError::Ckpt(CkptError::Corrupt { path, reason }))?;
                     state.restore(ctx);
                     ctx.obs.event("ckpt.restore", &[("stage", Val::S(name))]);
                     ctx.obs.counter_add("ckpt.restored_stages", 1);
@@ -382,18 +401,21 @@ where
                     ctx.obs.event("ckpt.resume_frontier", &[("stage", Val::S(name))]);
                 }
                 Err(e) if dur.forgives(&e) => dur.degrade(&ctx.obs, name, "load", &e),
-                Err(e) => return Err(e),
+                Err(e) => return Err(RunError::Ckpt(e)),
             }
         }
     }
     let artifact = run(ctx);
+    if let Some(e) = ctx.columnar.and_then(ColumnarTables::take_failure) {
+        return Err(RunError::Storage(e));
+    }
     if dur.store.is_some() {
         let payload = encode_snapshot(&CtxState::capture(ctx), &artifact);
         let saved = dur.store.as_ref().expect("checked above").save_stage(name, &payload);
         match saved {
             Ok(()) => {}
             Err(e) if dur.forgives(&e) => dur.degrade(&ctx.obs, name, "commit", &e),
-            Err(e) => return Err(e),
+            Err(e) => return Err(RunError::Ckpt(e)),
         }
     }
     Ok(artifact)
@@ -487,39 +509,8 @@ impl Matelda {
         labeler: &mut dyn Labeler,
         budget: usize,
     ) -> (DetectionResult, RunArtifacts) {
-        let cfg = &self.config;
-        let mut ctx = match &self.executor {
-            Some(exec) => StageContext::with_executor(lake, cfg, self.obs.clone(), exec.clone()),
-            None => StageContext::with_obs(lake, cfg, self.obs.clone()),
-        };
-        let mut run_span = self.obs.span_scope("run", "detect");
-        run_span.arg("budget", budget as f64);
-        run_span.arg("threads", ctx.executor.threads() as f64);
-
-        let embedded = EmbedStage::from_config(cfg).run(&mut ctx, ());
-        let featurized = FeaturizeStage::default().run(&mut ctx, ());
-        let domain = DomainFoldStage.run(&mut ctx, &embedded);
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
-        let quality =
-            QualityFoldStage { budget: phase1_budget }.run(&mut ctx, (&domain, &featurized));
-        let propagated = LabelStage { labeler, budget }.run(&mut ctx, (&quality, &featurized));
-        let predictions = ClassifyStage.run(&mut ctx, (&domain, &featurized, &propagated));
-
-        ctx.quarantine.normalize();
-        run_span.finish_secs();
-        let result = DetectionResult {
-            predicted: predictions.mask,
-            labels_used: propagated.labels_used,
-            n_domain_folds: domain.folds.len(),
-            n_quality_folds: quality.n_total(),
-            report: ctx.report,
-            quarantine: ctx.quarantine,
-            durability_degraded: false,
-        };
-        (result, RunArtifacts { featurized, domain, quality, propagated })
+        self.drive(lake, None, labeler, budget, &Durability::default())
+            .expect("an in-memory run without a checkpoint store is infallible")
     }
 
     /// [`Matelda::detect`] with stage-level checkpointing and crash-safe
@@ -551,53 +542,55 @@ impl Matelda {
         budget: usize,
         opts: &Durability,
     ) -> Result<DetectionResult, CkptError> {
+        match self.drive(lake, None, labeler, budget, opts) {
+            Ok((result, _)) => Ok(result),
+            Err(RunError::Ckpt(e)) => Err(e),
+            Err(RunError::Storage(e)) => unreachable!("an in-memory lake reads no storage: {e}"),
+        }
+    }
+
+    /// The one stage driver behind every `detect*` entry point: Alg. 1's
+    /// six stages in order over `lake` (the skeleton of `columnar` when
+    /// given), every stage restored or committed through the checkpoint
+    /// store `opts` asks for.
+    pub(crate) fn drive(
+        &self,
+        lake: &Lake,
+        columnar: Option<&ColumnarTables<'_>>,
+        labeler: &mut dyn Labeler,
+        budget: usize,
+        opts: &Durability,
+    ) -> Result<(DetectionResult, RunArtifacts), RunError> {
         let cfg = &self.config;
-        let mut ctx = match &self.executor {
-            Some(exec) => StageContext::with_executor(lake, cfg, self.obs.clone(), exec.clone()),
-            None => StageContext::with_obs(lake, cfg, self.obs.clone()),
-        };
+        let executor = self.executor.clone().unwrap_or_else(|| Executor::new(cfg.threads));
+        let mut ctx = StageContext::with_executor(lake, cfg, self.obs.clone(), executor);
+        ctx.columnar = columnar;
+        let run_name = if columnar.is_some() { "detect_out_of_core" } else { "detect" };
         // The run span scopes the whole pipeline: stage spans nest under
         // it, and an error path still records it on drop.
-        let mut run_span = self.obs.span_scope("run", "detect");
+        let mut run_span = self.obs.span_scope("run", run_name);
         run_span.arg("budget", budget as f64);
         run_span.arg("threads", ctx.executor.threads() as f64);
-
-        let store = match &opts.checkpoint_dir {
-            Some(dir) => {
-                let mut manifest = self.manifest(lake, budget);
-                manifest.threads = ctx.executor.threads() as u64;
-                match CheckpointStore::open_with(dir, manifest, opts.resume, opts.vfs.clone()) {
-                    Ok(s) => Some(s.with_obs(self.obs.clone())),
-                    // The directory may be unreachable before a single
-                    // snapshot exists; under Degrade the run simply
-                    // starts life non-durable.
-                    Err(e @ CkptError::Io { .. }) if opts.policy == DurabilityPolicy::Degrade => {
-                        self.obs.counter_add("ckpt.degraded", 1);
-                        self.obs.event(
-                            "ckpt.degraded",
-                            &[
-                                ("stage", Val::S("open")),
-                                ("during", Val::S("open")),
-                                ("error", Val::S(&e.to_string())),
-                            ],
-                        );
-                        None
-                    }
-                    Err(e) => return Err(e),
+        let mut dur =
+            DurabilityState { store: None, resume_ok: false, policy: opts.policy, degraded: false };
+        if let Some(dir) = &opts.checkpoint_dir {
+            let mut manifest = self.manifest(lake, budget);
+            manifest.threads = ctx.executor.threads() as u64;
+            match CheckpointStore::open_with(dir, manifest, opts.resume, opts.vfs.clone()) {
+                Ok(s) => {
+                    dur.store = Some(s.with_obs(self.obs.clone()));
+                    // Restoration stops at the first missing snapshot;
+                    // from there the interrupted run is recomputed (and
+                    // re-checkpointed) stage by stage.
+                    dur.resume_ok = opts.resume;
                 }
+                // The directory may be unreachable before a single
+                // snapshot exists; under Degrade the run simply starts
+                // life non-durable.
+                Err(e) if dur.forgives(&e) => dur.degrade(&self.obs, "open", "open", &e),
+                Err(e) => return Err(RunError::Ckpt(e)),
             }
-            None => None,
-        };
-        let opened_degraded = opts.checkpoint_dir.is_some() && store.is_none();
-        // Restoration stops at the first missing snapshot; from there the
-        // interrupted run is recomputed (and re-checkpointed) stage by
-        // stage.
-        let mut dur = DurabilityState {
-            resume_ok: opts.resume && store.is_some(),
-            store,
-            policy: opts.policy,
-            degraded: opened_degraded,
-        };
+        }
         let dur = &mut dur;
 
         // The two per-table stages run first so that any table faulting
@@ -618,10 +611,7 @@ impl Matelda {
 
         // Step 2: quality-based cell folding. The uncertainty extension
         // reserves half the budget for refinement.
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
+        let phase1_budget = refinement_split(cfg, budget).unwrap_or(budget);
         let quality = run_or_restore(&mut ctx, dur, "quality_folds", |ctx| {
             QualityFoldStage { budget: phase1_budget }.run(ctx, (&domain, &featurized))
         })?;
@@ -651,7 +641,7 @@ impl Matelda {
             );
         }
         run_span.finish_secs();
-        Ok(DetectionResult {
+        let result = DetectionResult {
             predicted: predictions.mask,
             labels_used: propagated.labels_used,
             n_domain_folds: domain.folds.len(),
@@ -659,7 +649,8 @@ impl Matelda {
             report: ctx.report,
             quarantine: ctx.quarantine,
             durability_degraded: dur.degraded,
-        })
+        };
+        Ok((result, RunArtifacts { featurized, domain, quality, propagated }))
     }
 }
 

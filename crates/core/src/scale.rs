@@ -1,11 +1,14 @@
 //! Out-of-core detection: the full pipeline over a columnar on-disk
-//! lake, one table resident at a time (DESIGN.md §14).
+//! lake, never materialized (DESIGN.md §14).
 //!
-//! The driver streams each `.mtc` table through embed + featurize,
-//! spills the per-table features to disk, and then runs the fold, label
-//! and classify stages against a *skeleton* lake (shapes only, no cell
-//! values) — which is sound because every post-featurize stage reads
-//! only table shapes under the supported configurations. The result is
+//! [`Matelda::detect_out_of_core`] runs the one stage driver of
+//! [`crate::pipeline`] over a *skeleton* lake (shapes only, no cell
+//! values) with a `ColumnarTables` table source. Embed and featurize
+//! read each `.mtc` table inside its own work item on the pool, so at
+//! most one table per worker is resident, and featurize spills every
+//! table's features to its own `.mtf` file. The later stages read only
+//! table shapes and the resident features under the supported
+//! configurations, so the skeleton is enough. The result is
 //! **bit-identical** to [`Matelda::detect`] over the materialized lake:
 //! same [`DetectionResult::digest`], at any thread count and any chunk
 //! size. [`columnar_lake_fingerprint`] anchors the input side of that
@@ -18,25 +21,18 @@
 //! the empty skeleton values: the `+SF` syntactic refinement and the
 //! unionability (Santos) folding strategies.
 
-use crate::domain_fold::embed_table_for;
-use crate::engine::{
-    ClassifyStage, DomainFoldStage, EmbeddedLake, FeaturizedLake, LabelStage, QualityFoldStage,
-    Stage, StageContext,
-};
-use crate::pipeline::{DetectionResult, LabelingStrategy, Matelda, TrainingStrategy};
+use crate::pipeline::{DetectionResult, Durability, Matelda, RunError};
 use crate::DomainFolding;
-use matelda_detect::{featurize_table, load_features, spill_features, spill_path, CellFeatures};
-use matelda_embed::encoder::HashedEncoder;
-use matelda_exec::{faultpoint, panic_message, ItemFault, StageReport};
+use matelda_detect::{spill_features, spill_path, CellFeatures};
+use matelda_exec::Executor;
 use matelda_table::chunked::{
     columnar_lake_fingerprint, columnar_paths_sorted, skeleton_lake, ChunkSource, ChunkedError,
     ColumnarReader, DEFAULT_CHUNK_LEN,
 };
 use matelda_table::oracle::Labeler;
-use matelda_text::SpellChecker;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use matelda_table::Table;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::{Mutex, PoisonError};
 
 /// Options for one [`Matelda::detect_out_of_core`] run.
 #[derive(Debug, Clone)]
@@ -105,14 +101,56 @@ pub struct OutOfCoreRun {
     pub lake_bytes: u64,
 }
 
+/// A columnar lake directory as the table source of one out-of-core
+/// run (see [`crate::engine::StageContext::columnar`]). Storage
+/// failures are recorded rather than raised, so that no work item
+/// faults on one; the driver returns the failure after the stage.
+pub(crate) struct ColumnarTables<'a> {
+    src: &'a dyn ChunkSource,
+    paths: Vec<PathBuf>,
+    opts: &'a OutOfCoreOpts,
+    /// The first storage failure of the current stage.
+    failure: Mutex<Option<ChunkedError>>,
+}
+
+impl ColumnarTables<'_> {
+    /// Reads table `ti`; `None` when the storage failed.
+    pub(crate) fn read(&self, ti: usize) -> Option<Table> {
+        let table = ColumnarReader::open(self.src, &self.paths[ti])
+            .and_then(|reader| reader.read_table(self.opts.chunk_len));
+        self.ok(table)
+    }
+
+    /// Spills every table's features to its own `.mtf` file, one table
+    /// per work item.
+    pub(crate) fn spill(&self, features: &[CellFeatures], executor: &Executor) {
+        executor.map(features, |ti, f| {
+            self.ok(spill_features(self.src, &spill_path(&self.opts.spill_dir, ti), f))
+        });
+    }
+
+    /// Takes the recorded storage failure, if any.
+    pub(crate) fn take_failure(&self) -> Option<ChunkedError> {
+        self.failure.lock().unwrap_or_else(PoisonError::into_inner).take()
+    }
+
+    /// `r`'s value, or `None` with the failure recorded.
+    fn ok<T>(&self, r: Result<T, ChunkedError>) -> Option<T> {
+        r.map_err(|e| {
+            self.failure.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
+        })
+        .ok()
+    }
+}
+
 impl Matelda {
     /// Runs the pipeline over the columnar lake directory `dir` without
-    /// ever materializing the lake: tables stream through embed +
-    /// featurize one at a time (features spilled to
-    /// [`OutOfCoreOpts::spill_dir`]), and the fold/label/classify stages
-    /// run on a shapes-only skeleton. All I/O goes through `src`, so
-    /// passing the ckpt [`crate::Vfs`] puts the whole path under the
-    /// storage fault matrix.
+    /// ever materializing the lake: embed and featurize read one table
+    /// per work item (features spilled to [`OutOfCoreOpts::spill_dir`]),
+    /// and every stage runs on a shapes-only skeleton. All I/O goes
+    /// through `src`, so passing the ckpt [`crate::Vfs`] puts the whole
+    /// path under the storage fault matrix; a storage failure returns
+    /// [`OutOfCoreError::Storage`] and never quarantines a table.
     ///
     /// Fault isolation matches the in-memory engine: a table whose
     /// embed or featurize panics is quarantined under
@@ -141,140 +179,27 @@ impl Matelda {
         }
 
         let paths = columnar_paths_sorted(src, dir).map_err(ChunkedError::Io)?;
-        let n_tables = paths.len();
         let mut lake_bytes = 0u64;
         for p in &paths {
             lake_bytes += src.file_len(p).map_err(ChunkedError::Io)?;
         }
         let skeleton = skeleton_lake(src, dir)?;
         let fingerprint = columnar_lake_fingerprint(src, dir, opts.chunk_len)?;
-
-        // ---- Streaming phase: embed + featurize one table at a time.
-        //
-        // Sequential by design — per-table work derives only from
-        // `(config, seed, ti, table)`, so the outputs equal the parallel
-        // engine's at any thread count; parallelism pays off in the fold
-        // and classify stages, which run on the executor below.
-        let per_table_embed =
-            matches!(cfg.domain_folding, DomainFolding::Hdbscan | DomainFolding::RowSampling(_));
-        let encoder = HashedEncoder::new(cfg.encoder.clone());
-        let spell = SpellChecker::english();
-        let placeholder = |t: &matelda_table::Table| {
-            CellFeatures::zeros(t.n_cols(), 0, matelda_detect::FEATURE_DIM)
-        };
-        let mut vecs: Vec<Vec<f32>> =
-            Vec::with_capacity(if per_table_embed { n_tables } else { 0 });
-        let mut faults: Vec<ItemFault> = Vec::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut cells = 0usize;
-        let mut spill_count = 0usize;
-        let mut embed_secs = 0.0f64;
-        let mut featurize_secs = 0.0f64;
-        for (ti, path) in paths.iter().enumerate() {
-            let table = ColumnarReader::open(src, path)?.read_table(opts.chunk_len)?;
-            cells += table.n_cells();
-            let mut table_quarantined = false;
-            if per_table_embed {
-                let t0 = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    faultpoint::hit("embed", ti);
-                    embed_table_for(cfg.domain_folding, &encoder, cfg.seed, ti, &table)
-                })) {
-                    Ok(v) => vecs.push(v),
-                    Err(payload) => {
-                        vecs.push(Vec::new());
-                        faults.push(ItemFault::new("embed", ti, panic_message(payload.as_ref())));
-                        table_quarantined = true;
-                    }
-                }
-                embed_secs += t0.elapsed().as_secs_f64();
-            }
-            let t0 = Instant::now();
-            let feats = if table_quarantined {
-                placeholder(&table)
-            } else {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    faultpoint::hit("featurize", ti);
-                    featurize_table(&table, &spell, &cfg.features)
-                })) {
-                    Ok(f) => f,
-                    Err(payload) => {
-                        faults.push(ItemFault::new(
-                            "featurize",
-                            ti,
-                            panic_message(payload.as_ref()),
-                        ));
-                        table_quarantined = true;
-                        placeholder(&table)
-                    }
-                }
-            };
-            featurize_secs += t0.elapsed().as_secs_f64();
-            if table_quarantined {
-                quarantined.push(ti);
-            }
-            spill_features(src, &spill_path(&opts.spill_dir, ti), &feats)?;
-            spill_count += 1;
-            // `table` and `feats` drop here: only one table is ever
-            // resident during the streaming phase.
-        }
-        let embedded =
-            if per_table_embed { EmbeddedLake::Vectors(vecs) } else { EmbeddedLake::Trivial };
-
-        // ---- Staged phase on the skeleton: identical stage sequence,
-        // seeds and executor semantics as `detect_explained`.
-        let mut ctx = match &self.executor {
-            Some(exec) => {
-                StageContext::with_executor(&skeleton, cfg, self.obs.clone(), exec.clone())
-            }
-            None => StageContext::with_obs(&skeleton, cfg, self.obs.clone()),
-        };
-        let mut run_span = self.obs.span_scope("run", "detect_out_of_core");
-        run_span.arg("budget", budget as f64);
-        run_span.arg("threads", ctx.executor.threads() as f64);
-        for ti in &quarantined {
-            ctx.quarantine_table(*ti);
-        }
-        ctx.note_faults(faults);
-        // Synthetic reports for the streamed stages so the run report
-        // keeps its six-stage shape.
-        let mut embed_report = StageReport::new("embed");
-        embed_report.items = n_tables as u64;
-        embed_report.wall_secs = embed_secs;
-        ctx.report.stages.push(embed_report);
-        let mut feat_report = StageReport::new("featurize");
-        feat_report.items = cells as u64;
-        feat_report.wall_secs = featurize_secs;
-        ctx.report.stages.push(feat_report);
-
-        let mut features = Vec::with_capacity(n_tables);
-        for ti in 0..n_tables {
-            features.push(load_features(src, &spill_path(&opts.spill_dir, ti))?);
-        }
-        let featurized = FeaturizedLake { features };
-
-        let domain = DomainFoldStage.run(&mut ctx, &embedded);
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
-        let quality =
-            QualityFoldStage { budget: phase1_budget }.run(&mut ctx, (&domain, &featurized));
-        let propagated = LabelStage { labeler, budget }.run(&mut ctx, (&quality, &featurized));
-        let predictions = ClassifyStage.run(&mut ctx, (&domain, &featurized, &propagated));
-
-        ctx.quarantine.normalize();
-        run_span.finish_secs();
-        let result = DetectionResult {
-            predicted: predictions.mask,
-            labels_used: propagated.labels_used,
-            n_domain_folds: domain.folds.len(),
-            n_quality_folds: quality.n_total(),
-            report: ctx.report,
-            quarantine: ctx.quarantine,
-            durability_degraded: false,
-        };
-        Ok(OutOfCoreRun { result, fingerprint, spill_count, cells, lake_bytes })
+        let tables = ColumnarTables { src, paths, opts, failure: Mutex::new(None) };
+        let (result, _) = self
+            .drive(&skeleton, Some(&tables), labeler, budget, &Durability::default())
+            .map_err(|e| match e {
+                RunError::Storage(e) => OutOfCoreError::Storage(e),
+                RunError::Ckpt(e) => unreachable!("out-of-core runs open no checkpoint store: {e}"),
+            })?;
+        // A run that returns spilled every table exactly once.
+        Ok(OutOfCoreRun {
+            result,
+            fingerprint,
+            spill_count: skeleton.n_tables(),
+            cells: skeleton.n_cells(),
+            lake_bytes,
+        })
     }
 }
 
@@ -397,6 +322,65 @@ mod tests {
             .expect("degraded run completes");
         assert_eq!(run.result.n_domain_folds, 1, "degrades to extreme domain folding");
         assert!(run.result.report.faults.iter().any(|f| f.stage == "domain_folds"));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn storage_faults_end_in_a_structured_error_or_the_reference_digest() {
+        use matelda_ckpt::{FaultKind, InjectAt, Vfs};
+        use matelda_obs::Obs;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let gen = QuintetLake { rows_per_table: 8, error_rate: 0.1 }.generate(23);
+        let dir = tmpdir("storage");
+        let lake_dir = dir.join("lake");
+        write_lake_columnar(&StdFs, &lake_dir, &gen.dirty).expect("write lake");
+        let run = |vfs: &Vfs, threads: usize, on_error: FaultPolicy, obs: Obs| {
+            let cfg = MateldaConfig { threads, on_error, ..Default::default() };
+            let mut labeler = HashLabeler { used: 0 };
+            let opts = OutOfCoreOpts::new(dir.join(format!("spill_{threads}_{on_error:?}")));
+            Matelda::new(cfg).with_obs(obs).detect_out_of_core(
+                vfs,
+                &lake_dir,
+                &mut labeler,
+                12,
+                &opts,
+            )
+        };
+
+        // A counting pass enumerates every storage operation of a run:
+        // the directory listing, the skeleton and fingerprint passes,
+        // each table read and each spill write.
+        let recorder = Vfs::recording();
+        let reference = run(&recorder, 1, FaultPolicy::Fail, Obs::disabled()).expect("clean run");
+        let n_ops = recorder.op_count();
+        assert!(n_ops > 2 * gen.dirty.n_tables() as u64, "{n_ops} storage operations");
+
+        for threads in [1usize, 2] {
+            for on_error in [FaultPolicy::Fail, FaultPolicy::Skip] {
+                for n in 0..n_ops {
+                    let cell = format!("op {n}, {threads} thread(s), {on_error:?}");
+                    let inj = InjectAt::new(n, FaultKind::Errno(std::io::ErrorKind::Other));
+                    let vfs = Vfs::with_injector(inj.clone());
+                    let obs = Obs::enabled();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        run(&vfs, threads, on_error, obs.clone())
+                    }))
+                    .unwrap_or_else(|_| panic!("{cell}: a storage fault panicked"));
+                    assert_eq!(inj.fired(), 1, "{cell}: the fault must actually fire");
+                    match outcome {
+                        Err(OutOfCoreError::Storage(_)) => {}
+                        Err(e) => panic!("{cell}: unexpected error {e}"),
+                        Ok(r) => {
+                            assert_eq!(r.result.digest(), reference.result.digest(), "{cell}");
+                            assert!(r.result.quarantine.is_empty(), "{cell}: quarantined");
+                            assert!(r.result.report.faults.is_empty(), "{cell}: fault logged");
+                        }
+                    }
+                    assert!(obs.events_named("fault.item").is_empty(), "{cell}: fault logged");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

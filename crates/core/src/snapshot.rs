@@ -152,15 +152,16 @@ fn decode_state(r: &mut Reader<'_>) -> Result<CtxState, DecodeError> {
     }
     let mut stages = Vec::new();
     for _ in 0..r.read_varint_len()? {
-        let mut s = StageReport::new(&r.read_str()?);
-        s.wall_secs = r.read_f64()?;
-        s.items = r.read_varint()?;
+        let name = r.read_str()?;
+        let wall_secs = r.read_f64()?;
+        let items = r.read_varint()?;
+        let mut metrics = Vec::new();
         for _ in 0..r.read_varint_len()? {
             let name = r.read_str()?;
             let value = r.read_f64()?;
-            s.metrics.push((name, value));
+            metrics.push((name, value));
         }
-        stages.push(s);
+        stages.push(StageReport { name, wall_secs, items, metrics });
     }
     Ok(CtxState { quarantine, faults, stages })
 }

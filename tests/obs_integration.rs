@@ -9,8 +9,12 @@
 //!   versa) bit-identically, because snapshots and manifests never
 //!   contain observability state.
 
-use matelda::core::{Durability, Matelda, MateldaConfig, Obs, Oracle};
+use matelda::core::{
+    DetectionResult, Durability, Matelda, MateldaConfig, Obs, Oracle, OutOfCoreOpts,
+};
 use matelda::lakegen::{GeneratedLake, QuintetLake};
+use matelda::table::chunked::{read_lake_columnar, write_lake_columnar, StdFs};
+use matelda::table::{CellId, CellMask, Lake};
 use std::path::PathBuf;
 
 const STAGES: [&str; 6] =
@@ -49,21 +53,17 @@ fn traced_runs_are_bit_identical_across_thread_counts_and_to_untraced() {
     }
 }
 
-#[test]
-fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
-    let gl = lake();
-    let obs = Obs::enabled();
-    let mut oracle = Oracle::new(&gl.errors);
-    let result = Matelda::new(MateldaConfig { threads: 2, ..Default::default() })
-        .with_obs(obs.clone())
-        .detect(&gl.dirty, &mut oracle, 20);
-
+/// The taxonomy every detection path emits: exactly one run span named
+/// `run_name`, the six stage spans nested under it in pipeline order,
+/// executor spans under their stage, and a metrics registry that agrees
+/// with the run's own report.
+fn assert_trace_covers(obs: &Obs, result: &DetectionResult, lake: &Lake, run_name: &str) {
     // Exactly one run span; the six stage spans nest under it in
     // pipeline order.
     let spans = obs.spans();
     let runs: Vec<_> = spans.iter().filter(|s| s.cat == "run").collect();
     assert_eq!(runs.len(), 1);
-    assert_eq!(runs[0].name, "detect");
+    assert_eq!(runs[0].name, run_name);
     let stages: Vec<_> = spans.iter().filter(|s| s.cat == "stage").collect();
     assert_eq!(stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), STAGES);
     for s in &stages {
@@ -81,12 +81,15 @@ fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
     assert_eq!(obs.events_named("stage.end").len(), STAGES.len());
 
     // The registry agrees with the run's own numbers.
-    assert_eq!(obs.counter("stage.items.embed"), Some(gl.dirty.n_tables() as u64));
+    for st in &result.report.stages {
+        assert_eq!(obs.counter(&format!("stage.items.{}", st.name)), Some(st.items), "{}", st.name);
+    }
+    assert_eq!(obs.counter("stage.items.embed"), Some(lake.n_tables() as u64));
     assert_eq!(obs.counter("label.labels_used"), Some(result.labels_used as u64));
     assert_eq!(obs.counter("label.budget"), Some(20));
     let fold_sizes = obs.histogram("quality_folds.fold_size").expect("fold-size histogram");
     assert_eq!(fold_sizes.count, result.n_quality_folds as u64);
-    assert_eq!(fold_sizes.sum as usize, gl.dirty.n_cells(), "folds partition the lake's cells");
+    assert_eq!(fold_sizes.sum as usize, lake.n_cells(), "folds partition the lake's cells");
 
     // Every classify work item records which GBM kernel trained it;
     // binned + exact must account for every fitted model.
@@ -104,6 +107,46 @@ fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
     for st in &result.report.stages {
         assert!(st.wall_secs >= 0.0);
     }
+}
+
+#[test]
+fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
+    let gl = lake();
+    let cfg = MateldaConfig { threads: 2, ..Default::default() };
+    let obs = Obs::enabled();
+    let mut oracle = Oracle::new(&gl.errors);
+    let result = Matelda::new(cfg.clone()).with_obs(obs.clone()).detect(&gl.dirty, &mut oracle, 20);
+    assert_trace_covers(&obs, &result, &gl.dirty, "detect");
+
+    // The same lake out of core emits the same taxonomy. Columnar files
+    // are read in file-name order, so the truth mask is re-indexed to
+    // the streamed table order.
+    let dir = tmp_dir("ooc_trace");
+    let lake_dir = dir.join("lake");
+    write_lake_columnar(&StdFs, &lake_dir, &gl.dirty).expect("write columnar lake");
+    let streamed = read_lake_columnar(&StdFs, &lake_dir, 64 * 1024).expect("read columnar lake");
+    let truth = CellMask::from_cells(
+        &streamed,
+        gl.errors.iter_set().map(|id| {
+            let name = &gl.dirty.tables[id.table].name;
+            let table = streamed.tables.iter().position(|t| &t.name == name).expect("table");
+            CellId::new(table, id.row, id.col)
+        }),
+    );
+    let obs = Obs::enabled();
+    let mut oracle = Oracle::new(&truth);
+    let run = Matelda::new(cfg)
+        .with_obs(obs.clone())
+        .detect_out_of_core(
+            &StdFs,
+            &lake_dir,
+            &mut oracle,
+            20,
+            &OutOfCoreOpts::new(dir.join("spill")),
+        )
+        .expect("out-of-core run");
+    assert_trace_covers(&obs, &run.result, &streamed, "detect_out_of_core");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
