@@ -12,10 +12,12 @@
 //!   two identical directories produces byte-identical corruption, so
 //!   ingestion tests can assert exact outcomes.
 //! * **Stage-level** — [`FaultPlan::stage_points`] picks victim
-//!   `(stage, index)` work items; arm them with
-//!   [`matelda_exec::faultpoint::arm`] and the executor
-//!   converts each injected panic into a per-item fault that the engine
-//!   quarantines under `FaultPolicy::Skip`.
+//!   `(stage, index)` work items; wrap them in a [`FaultPoints`] plan,
+//!   hand it to the run's executor
+//!   ([`Executor::with_faults`](matelda_exec::Executor::with_faults)),
+//!   and the executor converts each injected panic into a per-item fault
+//!   that the engine quarantines under `FaultPolicy::Skip`. The plan is
+//!   scoped to that executor, so concurrent runs stay fault-free.
 //! * **Process-level** — [`FaultPlan::crash_directive`] picks the stage
 //!   boundary at which a *subprocess* run dies: exported through the
 //!   [`CRASH_ENV`] environment variable, the checkpoint store aborts the
@@ -46,7 +48,7 @@ use std::path::{Path, PathBuf};
 
 pub use matelda_ckpt::{CrashDirective, CrashMode, CRASH_ENV};
 pub use matelda_ckpt::{FaultInjector, FaultKind, InjectAt, IoOp, Vfs};
-pub use matelda_exec::faultpoint;
+pub use matelda_exec::{faultpoint, FaultPoints};
 
 /// The errno-level storage faults an I/O plan can inject — the hostile
 /// filesystem's repertoire: out of space, a medium error, a write cut
@@ -123,8 +125,7 @@ impl FaultPlan {
     }
 
     /// Stage-level injection points: kill `k` of the stage's `n_items`
-    /// work items. Feed the result to
-    /// [`matelda_exec::faultpoint::arm`].
+    /// work items. Feed the result to [`FaultPoints::new`].
     pub fn stage_points(&self, stage: &str, n_items: usize, k: usize) -> Vec<(String, usize)> {
         self.victims(stage, n_items, k).into_iter().map(|i| (stage.to_string(), i)).collect()
     }

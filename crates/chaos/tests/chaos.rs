@@ -10,8 +10,8 @@
 //!    on a lake containing only the survivors, and
 //! 4. produces bit-identical results at 1/2/4 threads under injection.
 
-use matelda_chaos::{faultpoint, FaultPlan};
-use matelda_core::{FaultPolicy, Matelda, MateldaConfig, Obs, Oracle};
+use matelda_chaos::{FaultPlan, FaultPoints};
+use matelda_core::{Executor, FaultPolicy, Matelda, MateldaConfig, Obs, Oracle};
 use matelda_lakegen::QuintetLake;
 use matelda_table::{
     read_lake_from_dir_with, write_lake_to_dir, CellId, CellMask, Lake, ReadOptions,
@@ -20,6 +20,12 @@ use std::path::PathBuf;
 
 fn skip_config(threads: usize) -> MateldaConfig {
     MateldaConfig { on_error: FaultPolicy::Skip, threads, ..Default::default() }
+}
+
+/// A skip-policy pipeline whose executor carries `points` as its plan.
+fn faulty(threads: usize, points: &[(String, usize)]) -> Matelda {
+    let executor = Executor::new(threads).with_faults(FaultPoints::new(points.to_vec()));
+    Matelda::new(skip_config(threads)).with_executor(executor)
 }
 
 /// Projects an error mask of `original` onto a lake holding only the
@@ -51,9 +57,8 @@ fn killed_tables_quarantine_and_survivors_match_a_projected_run() {
     assert_eq!(victims.len(), 2);
 
     let chaos = {
-        let _guard = faultpoint::arm(points.clone());
         let mut oracle = Oracle::new(&gl.errors);
-        Matelda::new(skip_config(2)).detect(&gl.dirty, &mut oracle, budget)
+        faulty(2, &points).detect(&gl.dirty, &mut oracle, budget)
     };
 
     // (1) completed, (2) quarantined exactly the planned victims.
@@ -78,8 +83,6 @@ fn killed_tables_quarantine_and_survivors_match_a_projected_run() {
         Lake::new(survivors.iter().map(|&t| gl.dirty.tables[t].clone()).collect::<Vec<_>>());
     let proj_errors = project_errors(&gl.errors, &survivors, &projected);
     let mut oracle = Oracle::new(&proj_errors);
-    // Quiesced: under a parallel test runner another test may be armed.
-    let _fp = faultpoint::quiesce();
     let faultless = Matelda::new(skip_config(2)).detect(&projected, &mut oracle, budget);
     assert!(faultless.quarantine.is_empty());
     assert_eq!(chaos.labels_used, faultless.labels_used);
@@ -107,9 +110,8 @@ fn bit_identical_across_thread_counts_under_injection() {
     points.extend(plan.stage_points("classify", 6, 1));
 
     let run = |threads: usize| {
-        let _guard = faultpoint::arm(points.clone());
         let mut oracle = Oracle::new(&gl.errors);
-        Matelda::new(skip_config(threads)).detect(&gl.dirty, &mut oracle, 20)
+        faulty(threads, &points).detect(&gl.dirty, &mut oracle, 20)
     };
     let base = run(1);
     assert!(!base.report.faults.is_empty(), "at least the featurize fault must fire");
@@ -130,9 +132,8 @@ fn injected_faults_surface_in_the_event_log_without_changing_results() {
     points.extend(plan.stage_points("classify", 6, 1));
 
     let run = |obs: Obs| {
-        let _guard = faultpoint::arm(points.clone());
         let mut oracle = Oracle::new(&gl.errors);
-        Matelda::new(skip_config(2)).with_obs(obs).detect(&gl.dirty, &mut oracle, 20)
+        faulty(2, &points).with_obs(obs).detect(&gl.dirty, &mut oracle, 20)
     };
     let untraced = run(Obs::disabled());
     let obs = Obs::enabled();
@@ -249,7 +250,6 @@ fn end_to_end_chaos_run_completes() {
     assert!(lake.n_tables() >= 3);
 
     let points = plan.stage_points("featurize", lake.n_tables(), 1);
-    let _guard = faultpoint::arm(points);
     // The repaired lake has no ground truth; a constant labeler stands in.
     struct AlwaysClean(usize);
     impl matelda_core::Labeler for AlwaysClean {
@@ -262,7 +262,7 @@ fn end_to_end_chaos_run_completes() {
         }
     }
     let mut labeler = AlwaysClean(0);
-    let result = Matelda::new(skip_config(2)).detect(&lake, &mut labeler, 15);
+    let result = faulty(2, &points).detect(&lake, &mut labeler, 15);
     assert_eq!(result.quarantine.tables.len(), 1);
     assert_eq!(result.predicted.n_cells(), lake.n_cells());
     assert!(result.labels_used <= 15);
@@ -276,13 +276,15 @@ fn workers_that_caught_item_panics_keep_serving_later_stages() {
     // worker — not a respawned replacement — must execute subsequent
     // stages' items. Two faulty maps followed by a clean one on the same
     // executor, with the spawn count pinned throughout.
-    let exec = matelda_exec::Executor::new(4).with_inline_threshold(1);
-    let _guard =
-        faultpoint::arm(vec![("s1".to_string(), 3), ("s1".to_string(), 11), ("s2".to_string(), 0)]);
+    let exec = Executor::new(4).with_inline_threshold(1).with_faults(FaultPoints::new([
+        ("s1".to_string(), 3),
+        ("s1".to_string(), 11),
+        ("s2".to_string(), 0),
+    ]));
 
     for stage in ["s1", "s2"] {
         let out = exec.try_map_n(stage, 16, |i| {
-            faultpoint::hit(stage, i);
+            exec.faults().hit(stage, i);
             i * 2
         });
         let faults: Vec<usize> = (0..16).filter(|&i| out[i].is_err()).collect();

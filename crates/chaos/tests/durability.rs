@@ -14,9 +14,9 @@
 //! 4. a checkpoint directory written under different determinism inputs
 //!    is rejected with a mismatch naming the differing field.
 
-use matelda_chaos::{corrupt_bytes, faultpoint, Corruption, FaultPlan, STAGE_NAMES};
+use matelda_chaos::{corrupt_bytes, Corruption, FaultPlan, FaultPoints, STAGE_NAMES};
 use matelda_core::{
-    CkptError, DetectionResult, Durability, Labeler, Matelda, MateldaConfig, Oracle,
+    CkptError, DetectionResult, Durability, Executor, Labeler, Matelda, MateldaConfig, Oracle,
 };
 use matelda_lakegen::QuintetLake;
 use rand::rngs::StdRng;
@@ -33,6 +33,12 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 fn config(threads: usize) -> MateldaConfig {
     MateldaConfig { threads, ..Default::default() }
+}
+
+/// A pipeline whose `threads`-wide executor panics at `(stage, index)`.
+fn crashing(threads: usize, stage: &str, index: usize) -> Matelda {
+    let faults = FaultPoints::new([(stage.to_string(), index)]);
+    Matelda::new(config(threads)).with_executor(Executor::new(threads).with_faults(faults))
 }
 
 fn durability(dir: &Path, resume: bool) -> Durability {
@@ -59,8 +65,6 @@ fn resume_from_every_stage_boundary_is_bit_identical() {
     let budget = 20;
     let gl = QuintetLake { rows_per_table: 30, error_rate: 0.1 }.generate(21);
     let pipeline = Matelda::new(config(2));
-    // Quiesced: under a parallel test runner another test may be armed.
-    let _fp = faultpoint::quiesce();
 
     // One clean, fully-checkpointed reference run.
     let master = tmp_dir("boundary_master");
@@ -99,10 +103,8 @@ fn mid_stage_panic_then_resume_is_bit_identical_across_thread_counts() {
     let budget = 20;
     let gl = QuintetLake { rows_per_table: 30, error_rate: 0.1 }.generate(22);
 
-    // The uninterrupted reference (no checkpointing at all). Quiesced:
-    // another test's armed plan must not leak into this control run.
+    // The uninterrupted reference (no checkpointing at all).
     let clean = {
-        let _fp = faultpoint::quiesce();
         let mut oracle = Oracle::new(&gl.errors);
         Matelda::new(config(1)).detect(&gl.dirty, &mut oracle, budget)
     };
@@ -112,10 +114,9 @@ fn mid_stage_panic_then_resume_is_bit_identical_across_thread_counts() {
     // leaving the embed/featurize/domain_folds snapshots committed).
     let dir = tmp_dir("panic_resume");
     {
-        let _guard = faultpoint::arm([("quality_folds".to_string(), 0)]);
         let mut oracle = Oracle::new(&gl.errors);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Matelda::new(config(4)).detect_durable(
+            crashing(4, "quality_folds", 0).detect_durable(
                 &gl.dirty,
                 &mut oracle,
                 budget,
@@ -131,7 +132,6 @@ fn mid_stage_panic_then_resume_is_bit_identical_across_thread_counts() {
 
     // Resume at 1, 2 and 4 threads: every result is bit-identical to the
     // clean single-thread run (thread count is outside the manifest).
-    let _fp = faultpoint::quiesce();
     for threads in [1, 2, 4] {
         let resume_dir = tmp_dir(&format!("panic_resume_t{threads}"));
         fs::create_dir_all(&resume_dir).unwrap();
@@ -159,15 +159,18 @@ fn interrupt_after_final_boundary_resumes_without_recomputation() {
     // Killed between the last snapshot commit and result assembly: the
     // `finalize` faultpoint fires after every stage checkpointed.
     {
-        let _guard = faultpoint::arm([("finalize".to_string(), 0)]);
         let mut oracle = Oracle::new(&gl.errors);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.detect_durable(&gl.dirty, &mut oracle, budget, &durability(&dir, false))
+            crashing(2, "finalize", 0).detect_durable(
+                &gl.dirty,
+                &mut oracle,
+                budget,
+                &durability(&dir, false),
+            )
         }));
         assert!(crashed.is_err());
     }
-    // Quiesced from here on: the resume and reference runs are unarmed.
-    let _fp = faultpoint::quiesce();
+    // The resume and reference runs carry no fault plan.
     // Resume restores all six stages; the labeler is never consulted.
     let mut oracle = Oracle::new(&gl.errors);
     let resumed =
@@ -186,8 +189,6 @@ fn torn_or_garbled_snapshot_is_rejected_with_a_structured_error() {
     let gl = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(24);
     let dir = tmp_dir("corrupt");
     let pipeline = Matelda::new(config(2));
-    // Quiesced: under a parallel test runner another test may be armed.
-    let _fp = faultpoint::quiesce();
     let mut oracle = Oracle::new(&gl.errors);
     pipeline.detect_durable(&gl.dirty, &mut oracle, budget, &durability(&dir, false)).unwrap();
 
@@ -219,8 +220,6 @@ fn checkpoints_from_different_inputs_are_rejected_by_name() {
     let budget = 15;
     let gl = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(25);
     let dir = tmp_dir("foreign");
-    // Quiesced: under a parallel test runner another test may be armed.
-    let _fp = faultpoint::quiesce();
     let mut oracle = Oracle::new(&gl.errors);
     Matelda::new(config(2))
         .detect_durable(&gl.dirty, &mut oracle, budget, &durability(&dir, false))

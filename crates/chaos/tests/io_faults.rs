@@ -11,7 +11,7 @@
 //! storage operations a fresh durable run performs, and the sweep
 //! enumerates all of them.
 
-use matelda_chaos::{faultpoint, FaultKind, FaultPlan, InjectAt, Vfs, IO_FAULT_KINDS};
+use matelda_chaos::{FaultKind, FaultPlan, InjectAt, Vfs, IO_FAULT_KINDS};
 use matelda_core::{CkptError, Durability, DurabilityPolicy, Matelda, MateldaConfig, Oracle};
 use matelda_lakegen::QuintetLake;
 use std::fs;
@@ -55,7 +55,6 @@ fn run(
 #[test]
 fn every_fault_site_yields_the_clean_digest_or_an_explicit_error() {
     let gl = QuintetLake { rows_per_table: 15, error_rate: 0.1 }.generate(51);
-    let _fp = faultpoint::quiesce();
 
     // The clean digest (no durability at all) — the bit-identity bar
     // every faulted cell must clear.
@@ -108,7 +107,6 @@ fn every_fault_site_yields_the_clean_digest_or_an_explicit_error() {
 #[test]
 fn strict_policy_turns_every_hard_fault_into_a_structured_error() {
     let gl = QuintetLake { rows_per_table: 15, error_rate: 0.1 }.generate(51);
-    let _fp = faultpoint::quiesce();
 
     let recorder = Vfs::recording();
     let dir = tmp_dir("strict_recording");
@@ -142,7 +140,6 @@ fn strict_policy_turns_every_hard_fault_into_a_structured_error() {
 #[test]
 fn a_degraded_run_resumes_cleanly_after_the_storage_recovers() {
     let gl = QuintetLake { rows_per_table: 15, error_rate: 0.1 }.generate(52);
-    let _fp = faultpoint::quiesce();
     let clean = {
         let mut oracle = Oracle::new(&gl.errors);
         Matelda::new(config(2)).detect(&gl.dirty, &mut oracle, BUDGET).digest()

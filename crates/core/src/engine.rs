@@ -66,9 +66,9 @@
 //! intact). Items already running are never interrupted, and the
 //! `domain_folds` and `label` stages are unguarded (whole-lake
 //! clustering has no per-item unit to skip; the labeler is a
-//! sequential, possibly-human oracle). Deterministic tests arm the
-//! `timeout:<stage>` faultpoint instead of relying on wall-clock
-//! sleeps.
+//! sequential, possibly-human oracle). Deterministic tests put a
+//! `timeout:<stage>` point in the executor's fault plan instead of
+//! relying on wall-clock sleeps.
 
 use crate::domain_fold::{
     embed_table_for, refine_syntactic, try_folds_from_embedding_excluding_with, DomainFolding, Fold,
@@ -454,9 +454,9 @@ impl Stage for EmbedStage {
             // embedding panics is quarantined (empty placeholder vector,
             // never clustered) and the run continues.
             DomainFolding::Hdbscan | DomainFolding::RowSampling(_) => {
-                let encoder = &self.encoder;
+                let (encoder, faults) = (&self.encoder, ctx.executor.faults().clone());
                 let embed = |ti, t: &Table| {
-                    faultpoint::hit("embed", ti);
+                    faults.hit("embed", ti);
                     embed_table_for(cfg.domain_folding, encoder, cfg.seed, ti, t)
                 };
                 EmbeddedLake::Vectors(ctx.map_tables(self.name(), embed, |_| Vec::new()))
@@ -579,8 +579,9 @@ impl Stage for FeaturizeStage {
         let placeholder = |t: &matelda_table::Table| {
             CellFeatures::zeros(t.n_cols(), 0, matelda_detect::FEATURE_DIM)
         };
+        let faults = ctx.executor.faults().clone();
         let featurize = |ti, t: &Table| {
-            faultpoint::hit("featurize", ti);
+            faults.hit("featurize", ti);
             featurize_table(t, spell, cfg)
         };
         let features = ctx.map_tables(self.name(), featurize, placeholder);
@@ -629,7 +630,7 @@ impl Stage for QualityFoldStage {
                 if k == 0 {
                     return Vec::new();
                 }
-                faultpoint::hit("quality_folds", fi);
+                ctx.executor.faults().hit("quality_folds", fi);
                 let seed = cfg.seed ^ (fi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let mut qfolds = quality_folds(
                     ctx.lake,
@@ -842,7 +843,7 @@ impl Stage for ClassifyStage {
         // Trained in parallel, predictions merged in unit order.
         let flagged: Vec<Result<(Vec<CellId>, bool), ItemFault>> =
             ctx.executor.try_map_within(self.name(), &units, ctx.deadline, |i, columns| {
-                faultpoint::hit("classify", i);
+                ctx.executor.faults().hit("classify", i);
                 let (x, y) = training_set(lake, featurized, labels, columns);
                 let model =
                     FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
@@ -1015,11 +1016,19 @@ fn refine_with_uncertainty(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matelda_exec::FaultPoints;
     use matelda_lakegen::QuintetLake;
     use matelda_table::oracle::Oracle;
 
     fn cfg_with_threads(threads: usize) -> MateldaConfig {
         MateldaConfig { threads, ..Default::default() }
+    }
+
+    /// A pipeline whose executor carries `points` as its fault plan.
+    fn faulty(cfg: MateldaConfig, points: &[(&str, usize)]) -> crate::Matelda {
+        let faults = FaultPoints::new(points.iter().map(|&(s, i)| (s.to_string(), i)));
+        let executor = Executor::new(cfg.threads).with_faults(faults);
+        crate::Matelda::new(cfg).with_executor(executor)
     }
 
     #[test]
@@ -1089,9 +1098,8 @@ mod tests {
         use crate::pipeline::FaultPolicy;
         let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(9);
         let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("embed".to_string(), 1)]);
         let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 20);
+        let result = faulty(cfg, &[("embed", 1)]).detect(&lake.dirty, &mut oracle, 20);
         assert_eq!(result.quarantine.tables, vec![1]);
         assert_eq!(result.report.faults.len(), 1);
         assert_eq!(result.report.faults[0].stage, "embed");
@@ -1111,10 +1119,10 @@ mod tests {
     fn fail_policy_panics_on_injected_fault() {
         let lake = QuintetLake { rows_per_table: 20, error_rate: 0.1 }.generate(3);
         let cfg = MateldaConfig { threads: 1, ..Default::default() }; // Fail is the default
-        let _guard = faultpoint::arm([("featurize".to_string(), 0)]);
+        let pipeline = faulty(cfg, &[("featurize", 0)]);
         let mut oracle = Oracle::new(&lake.errors);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 10)
+            pipeline.detect(&lake.dirty, &mut oracle, 10)
         }));
         let payload = caught.expect_err("fault must abort under Fail");
         let msg = matelda_exec::panic_message(payload.as_ref());
@@ -1127,9 +1135,8 @@ mod tests {
         let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(4);
         let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 1, ..Default::default() };
         let budget = 20;
-        let _guard = faultpoint::arm([("quality_folds".to_string(), 0)]);
         let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, budget);
+        let result = faulty(cfg, &[("quality_folds", 0)]).detect(&lake.dirty, &mut oracle, budget);
         assert_eq!(result.quarantine.fold_fallbacks, vec![0]);
         assert!(result.quarantine.tables.is_empty());
         assert!(result.labels_used <= budget, "budget overspent: {}", result.labels_used);
@@ -1141,12 +1148,51 @@ mod tests {
         use crate::pipeline::FaultPolicy;
         let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(6);
         let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("classify".to_string(), 0)]);
         let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 30);
+        let result = faulty(cfg, &[("classify", 0)]).detect(&lake.dirty, &mut oracle, 30);
         assert_eq!(result.quarantine.columns.len(), 1);
         assert_eq!(result.report.faults.len(), 1);
         assert_eq!(result.report.faults[0].stage, "classify");
         assert_eq!(result.predicted.n_cells(), lake.dirty.n_cells());
+    }
+
+    #[test]
+    fn a_fault_plan_never_reaches_a_concurrent_run() {
+        // Two runs share the process: one kills every embed item, the
+        // other carries no plan and must never see those faults.
+        use crate::pipeline::FaultPolicy;
+        let lake = QuintetLake { rows_per_table: 20, error_rate: 0.1 }.generate(5);
+        let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
+        let (budget, tables) = (20, (0..lake.dirty.n_tables()).collect::<Vec<_>>());
+        let reference = {
+            let mut oracle = Oracle::new(&lake.errors);
+            crate::Matelda::new(cfg.clone()).detect(&lake.dirty, &mut oracle, budget).digest()
+        };
+        let every_embed: Vec<(&str, usize)> = tables.iter().map(|&t| ("embed", t)).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..3 {
+                    let mut oracle = Oracle::new(&lake.errors);
+                    let r =
+                        faulty(cfg.clone(), &every_embed).detect(&lake.dirty, &mut oracle, budget);
+                    assert_eq!(
+                        r.quarantine.tables, tables,
+                        "the planned run quarantines its victims"
+                    );
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for run in 0..6 {
+                    let mut oracle = Oracle::new(&lake.errors);
+                    let r =
+                        crate::Matelda::new(cfg.clone()).detect(&lake.dirty, &mut oracle, budget);
+                    assert!(r.report.faults.is_empty(), "run {run} saw {:?}", r.report.faults);
+                    assert_eq!(r.digest(), reference, "run {run} diverged");
+                }
+            });
+        });
     }
 }

@@ -23,7 +23,7 @@ use crate::snapshot::{decode_snapshot, encode_snapshot, ArtifactCodec, CtxState}
 use matelda_ckpt::{CheckpointStore, CkptError, Manifest, Vfs};
 use matelda_detect::FeatureConfig;
 use matelda_embed::encoder::EncoderConfig;
-use matelda_exec::{faultpoint, Executor, RunReport};
+use matelda_exec::{Executor, RunReport};
 use matelda_ml::ClassifierKind;
 use matelda_obs::{Obs, Val};
 use matelda_table::chunked::ChunkedError;
@@ -119,7 +119,8 @@ pub struct MateldaConfig {
     /// [`matelda_exec::DEADLINE_FAULT`] and degrade (or abort) per
     /// [`MateldaConfig::on_error`]. `None` (the default) disables the
     /// watchdog. Wall-clock deadlines are inherently nondeterministic;
-    /// tests arm the `timeout:<stage>` faultpoint instead.
+    /// tests plan the `timeout:<stage>` fault point on the executor
+    /// instead (see [`Executor::with_faults`]).
     pub stage_timeout: Option<Duration>,
     /// Byte budget for the dense O(n²) matrices the fold stages would
     /// otherwise allocate unchecked. `None` (the default) disables the
@@ -629,7 +630,7 @@ impl Matelda {
 
         // Crash-test hook for "killed after the last stage boundary":
         // fires between the final snapshot commit and result assembly.
-        faultpoint::hit("finalize", 0);
+        ctx.executor.faults().hit("finalize", 0);
 
         ctx.quarantine.normalize();
         if self.obs.is_enabled() {
@@ -1036,12 +1037,13 @@ mod tests {
 
     #[test]
     fn armed_stage_timeout_degrades_like_a_fault() {
-        use matelda_exec::{faultpoint, DEADLINE_FAULT};
+        use matelda_exec::{FaultPoints, DEADLINE_FAULT};
         let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(6);
         let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("timeout:classify".to_string(), 0)]);
+        let faults = FaultPoints::new([("timeout:classify".to_string(), 0)]);
+        let pipeline = Matelda::new(cfg).with_executor(Executor::new(2).with_faults(faults));
         let mut oracle = Oracle::new(&lake.errors);
-        let r = Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 30);
+        let r = pipeline.detect(&lake.dirty, &mut oracle, 30);
         assert_eq!(r.quarantine.columns.len(), 1, "deadline fault must degrade one column");
         assert_eq!(r.report.faults.len(), 1);
         assert_eq!(r.report.faults[0].stage, "classify");
@@ -1051,13 +1053,14 @@ mod tests {
 
     #[test]
     fn armed_stage_timeout_aborts_under_fail_policy() {
-        use matelda_exec::{faultpoint, DEADLINE_FAULT};
+        use matelda_exec::{FaultPoints, DEADLINE_FAULT};
         let lake = QuintetLake { rows_per_table: 20, error_rate: 0.1 }.generate(7);
         let cfg = MateldaConfig { threads: 1, ..Default::default() }; // Fail is default
-        let _guard = faultpoint::arm([("timeout:embed".to_string(), 0)]);
+        let faults = FaultPoints::new([("timeout:embed".to_string(), 0)]);
+        let pipeline = Matelda::new(cfg).with_executor(Executor::single().with_faults(faults));
         let mut oracle = Oracle::new(&lake.errors);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 10)
+            pipeline.detect(&lake.dirty, &mut oracle, 10)
         }));
         let payload = caught.expect_err("deadline fault must abort under Fail");
         let msg = matelda_exec::panic_message(payload.as_ref());

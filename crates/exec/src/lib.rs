@@ -19,11 +19,12 @@
 //! * [`RunReport`] / [`StageReport`] — per-stage wall time plus work
 //!   counters and the structured fault log, threaded through every stage
 //!   of a pipeline run and rendered as aligned text or JSON.
-//! * [`faultpoint`] — a test-only injection hook the chaos harness arms
-//!   to panic chosen `(stage, index)` work items.
+//! * [`faultpoint`] — a test-only injection plan an executor carries
+//!   for its run, panicking chosen `(stage, index)` work items.
 
 mod pool;
 
+pub use faultpoint::FaultPoints;
 pub use pool::{Pool, WEDGE_FAULTPOINT};
 
 use matelda_obs::{Buckets, Obs, Stopwatch};
@@ -117,6 +118,7 @@ pub struct Executor {
     threads: usize,
     inline_threshold: usize,
     obs: Obs,
+    faults: FaultPoints,
     pool: Arc<Pool>,
 }
 
@@ -140,6 +142,7 @@ impl Executor {
             threads,
             inline_threshold: 0,
             obs: Obs::disabled(),
+            faults: FaultPoints::default(),
             pool: Arc::new(Pool::new(threads)),
         }
     }
@@ -223,6 +226,23 @@ impl Executor {
     pub fn with_pool_obs(self, obs: &Obs) -> Self {
         self.pool.attach_obs(obs);
         self
+    }
+
+    /// Carries a test fault plan (see [`faultpoint`]) into every run on
+    /// this executor and its later clones. The plan is also set on the
+    /// underlying [`Pool`], whose workers read its [`WEDGE_FAULTPOINT`]
+    /// points; like [`Executor::with_join_deadline`], that pool-level
+    /// part is shared by every executor on the pool, clones made
+    /// earlier included. Call it when building the executor, before
+    /// cloning it.
+    pub fn with_faults(self, faults: FaultPoints) -> Self {
+        self.pool.set_faults(&faults);
+        Executor { faults, ..self }
+    }
+
+    /// The fault plan stage bodies consult (empty unless a test set one).
+    pub fn faults(&self) -> &FaultPoints {
+        &self.faults
     }
 
     /// The worker-thread count.
@@ -327,9 +347,10 @@ impl Executor {
 
     /// [`Executor::try_map_n`] under a watchdog [`Deadline`]: an item
     /// claimed after the deadline has passed (or whose
-    /// `timeout:<stage>` faultpoint is armed — the deterministic test
-    /// hook) is not run and faults with [`DEADLINE_FAULT`]. With
-    /// `deadline = None` this is exactly `try_map_n`.
+    /// `timeout:<stage>` point is in the executor's fault plan — the
+    /// deterministic test hook) is not run and faults with
+    /// [`DEADLINE_FAULT`]. With `deadline = None` this is exactly
+    /// `try_map_n`.
     pub fn try_map_n_within<R, F>(
         &self,
         stage: &str,
@@ -342,7 +363,7 @@ impl Executor {
         F: Fn(usize) -> R + Sync,
     {
         let guarded = |i: usize| -> Result<R, ItemFault> {
-            if faultpoint::timeout_armed(stage, i) || deadline.is_some_and(|d| d.exceeded()) {
+            if self.faults.timeout_armed(stage, i) || deadline.is_some_and(|d| d.exceeded()) {
                 return Err(ItemFault::new(stage, i, DEADLINE_FAULT));
             }
             catch_unwind(AssertUnwindSafe(|| f(i)))
@@ -611,38 +632,104 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-/// Test-only fault injection.
+/// Test-only fault injection, scoped to one run.
 ///
-/// The chaos harness arms a set of `(stage, index)` points; stage bodies
-/// call [`hit`](faultpoint::hit) at the top of each work item and panic
-/// when their point is armed. Disarmed, the hook is a single relaxed
-/// atomic load, so the production path pays (almost) nothing. Injected
-/// panics carry a recognizable
-/// [`INJECTED_PREFIX`](faultpoint::INJECTED_PREFIX) payload and are
-/// suppressed from the default panic report, so chaos runs don't spray
-/// backtraces.
+/// A [`FaultPoints`] plan is an immutable set of `(stage, index)` points
+/// carried by an [`Executor`] (set once, with [`Executor::with_faults`]):
+/// every clone of that executor sees the plan; an executor on another
+/// pool does not. The pool's workers read the plan's
+/// [`WEDGE_FAULTPOINT`] points, so those reach every executor sharing
+/// that pool. Stage bodies call [`FaultPoints::hit`] at the top of each
+/// work item and panic when their point is planned. The default plan is
+/// empty, and then the hook is one emptiness check. Injected panics
+/// carry a recognizable [`INJECTED_PREFIX`](faultpoint::INJECTED_PREFIX)
+/// payload and are suppressed from the default panic report, so chaos
+/// runs don't spray backtraces.
 ///
-/// Arming is globally exclusive: [`arm`](faultpoint::arm) holds a
-/// process-wide lock until the returned guard drops, which serializes
-/// concurrently running chaos tests instead of cross-contaminating them.
+/// Because the plan belongs to the run, concurrent runs in one process
+/// (parallel tests, several daemons) never observe each other's faults.
 pub mod faultpoint {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::sync::Arc;
 
     /// Payload prefix of injected panics (lets hooks and asserts
     /// distinguish planned faults from real bugs).
     pub const INJECTED_PREFIX: &str = "injected fault at ";
 
-    static ARMED: AtomicBool = AtomicBool::new(false);
+    /// The environment variable subprocess chaos tests plan faults
+    /// through: comma-separated `stage:index` points, where the stage
+    /// may itself contain colons (`timeout:classify:2` parses as
+    /// `("timeout:classify", 2)` — the split is on the *last* colon).
+    /// Binaries read it once at startup with [`FaultPoints::from_env`].
+    pub const FAULTPOINT_ENV: &str = "MATELDA_FAULTPOINTS";
 
-    fn plan() -> &'static Mutex<Vec<(String, usize)>> {
-        static PLAN: OnceLock<Mutex<Vec<(String, usize)>>> = OnceLock::new();
-        PLAN.get_or_init(|| Mutex::new(Vec::new()))
+    /// An immutable fault-injection plan: the `(stage, index)` work items
+    /// that panic. Cloning shares the list. See the module docs.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FaultPoints {
+        points: Arc<[(String, usize)]>,
     }
 
-    fn exclusivity() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
+    impl FaultPoints {
+        /// A plan arming exactly `points`.
+        pub fn new(points: impl IntoIterator<Item = (String, usize)>) -> Self {
+            let points: Arc<[(String, usize)]> = points.into_iter().collect();
+            if !points.is_empty() {
+                silence_injected_panics();
+            }
+            FaultPoints { points }
+        }
+
+        /// Parses a [`FAULTPOINT_ENV`] value. Empty entries are ignored,
+        /// so an empty string is the empty plan; an entry that is not
+        /// `stage:index` is an error naming it — a typo must not
+        /// silently arm nothing.
+        pub fn parse(raw: &str) -> Result<Self, String> {
+            let point = |entry: &str| {
+                let (stage, index) = entry.rsplit_once(':').filter(|(s, _)| !s.is_empty())?;
+                Some((stage.to_string(), index.parse().ok()?))
+            };
+            let bad = |entry| format!("bad {FAULTPOINT_ENV} entry {entry:?}: expected stage:index");
+            raw.split(',')
+                .map(str::trim)
+                .filter(|entry| !entry.is_empty())
+                .map(|entry| point(entry).ok_or_else(|| bad(entry)))
+                .collect::<Result<Vec<_>, _>>()
+                .map(FaultPoints::new)
+        }
+
+        /// The plan in [`FAULTPOINT_ENV`]; unset means the empty plan.
+        pub fn from_env() -> Result<Self, String> {
+            let raw = std::env::var_os(FAULTPOINT_ENV).unwrap_or_default();
+            FaultPoints::parse(&raw.to_string_lossy())
+        }
+
+        /// Whether `(stage, index)` is planned.
+        #[inline]
+        pub fn contains(&self, stage: &str, index: usize) -> bool {
+            self.points.iter().any(|(s, i)| *i == index && s == stage)
+        }
+
+        /// Panics iff `(stage, index)` is planned. Stage bodies call
+        /// this at the top of each work item.
+        #[inline]
+        pub fn hit(&self, stage: &str, index: usize) {
+            if self.contains(stage, index) {
+                std::panic::panic_any(format!("{INJECTED_PREFIX}{stage}[{index}]"));
+            }
+        }
+
+        /// The deterministic stage-timeout hook: planning
+        /// `("timeout:<stage>", index)` makes the executor treat that
+        /// work item as deadline-exceeded without any wall-clock sleep —
+        /// the item is skipped and faults with
+        /// [`DEADLINE_FAULT`](crate::DEADLINE_FAULT), identically at any
+        /// thread count.
+        #[inline]
+        pub fn timeout_armed(&self, stage: &str, index: usize) -> bool {
+            self.points
+                .iter()
+                .any(|(s, i)| *i == index && s.strip_prefix("timeout:") == Some(stage))
+        }
     }
 
     /// Installs (once) a panic hook that silences injected-fault panics
@@ -661,106 +748,6 @@ pub mod faultpoint {
                 }
             }));
         });
-    }
-
-    /// Keeps the injection plan armed; dropping disarms and releases the
-    /// exclusivity lock.
-    pub struct ArmedGuard {
-        _lock: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for ArmedGuard {
-        fn drop(&mut self) {
-            ARMED.store(false, Ordering::SeqCst);
-            plan().lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-    }
-
-    /// Takes the faultpoint exclusivity lock without arming anything.
-    ///
-    /// The plan is process-global, so a *control* run in a test binary
-    /// whose other tests inject faults must hold this guard: otherwise,
-    /// under a parallel test runner, it can trip a point some other
-    /// test armed and report phantom faults.
-    pub fn quiesce() -> ArmedGuard {
-        arm(std::iter::empty::<(String, usize)>())
-    }
-
-    /// Arms the given `(stage, index)` points until the guard drops.
-    pub fn arm(points: impl IntoIterator<Item = (String, usize)>) -> ArmedGuard {
-        // A failed assertion in a previous chaos test poisons the lock;
-        // the plan is reset on every arm, so poisoning is harmless.
-        let lock = exclusivity().lock().unwrap_or_else(PoisonError::into_inner);
-        silence_injected_panics();
-        *plan().lock().unwrap_or_else(PoisonError::into_inner) = points.into_iter().collect();
-        ARMED.store(true, Ordering::SeqCst);
-        ArmedGuard { _lock: lock }
-    }
-
-    /// Panics iff `(stage, index)` is armed. Stage bodies call this at
-    /// the top of each work item.
-    #[inline]
-    pub fn hit(stage: &str, index: usize) {
-        if !ARMED.load(Ordering::Relaxed) {
-            return;
-        }
-        let armed = plan().lock().unwrap_or_else(PoisonError::into_inner);
-        if armed.iter().any(|(s, i)| s == stage && *i == index) {
-            drop(armed);
-            std::panic::panic_any(format!("{INJECTED_PREFIX}{stage}[{index}]"));
-        }
-    }
-
-    /// Non-panicking query: is `(stage, index)` armed? Used by callers
-    /// that degrade on an armed point instead of panicking (the
-    /// deadline hook below).
-    #[inline]
-    pub fn is_armed(stage: &str, index: usize) -> bool {
-        if !ARMED.load(Ordering::Relaxed) {
-            return false;
-        }
-        let armed = plan().lock().unwrap_or_else(PoisonError::into_inner);
-        armed.iter().any(|(s, i)| s == stage && *i == index)
-    }
-
-    /// The deterministic stage-timeout hook: arming `("timeout:<stage>",
-    /// index)` makes the executor treat that work item as
-    /// deadline-exceeded without any wall-clock sleep — the item is
-    /// skipped and faults with
-    /// [`DEADLINE_FAULT`](crate::DEADLINE_FAULT), identically at any
-    /// thread count. Disarmed, this is one relaxed atomic load.
-    #[inline]
-    pub fn timeout_armed(stage: &str, index: usize) -> bool {
-        if !ARMED.load(Ordering::Relaxed) {
-            return false;
-        }
-        is_armed(&format!("timeout:{stage}"), index)
-    }
-
-    /// The environment variable subprocess chaos tests arm faults
-    /// through: comma-separated `stage:index` points, where the stage
-    /// may itself contain colons (`timeout:classify:2` parses as
-    /// `("timeout:classify", 2)` — the split is on the *last* colon).
-    pub const FAULTPOINT_ENV: &str = "MATELDA_FAULTPOINTS";
-
-    /// Arms faultpoints from [`FAULTPOINT_ENV`] for the life of the
-    /// process. Binaries call this once at startup; with the variable
-    /// unset (or holding no parseable point) nothing is armed. Unlike
-    /// [`arm`] there is no guard to drop — a subprocess's plan never
-    /// changes, so the guard (and the exclusivity lock it holds) is
-    /// deliberately leaked.
-    pub fn arm_from_env() {
-        let Ok(raw) = std::env::var(FAULTPOINT_ENV) else { return };
-        let points: Vec<(String, usize)> = raw
-            .split(',')
-            .filter_map(|p| {
-                let (stage, idx) = p.trim().rsplit_once(':')?;
-                Some((stage.to_string(), idx.parse().ok()?))
-            })
-            .collect();
-        if !points.is_empty() {
-            std::mem::forget(arm(points));
-        }
     }
 }
 
@@ -882,7 +869,6 @@ mod tests {
 
     #[test]
     fn try_map_isolates_panics_per_index() {
-        let _armed = faultpoint::arm(Vec::new()); // silence hook + exclusivity
         for threads in [1, 2, 4] {
             let exec = Executor::new(threads);
             let out = exec.try_map_n("stage", 10, |i| {
@@ -919,40 +905,54 @@ mod tests {
     }
 
     #[test]
-    fn faultpoint_injects_only_armed_points_and_disarms_on_drop() {
-        let exec = Executor::new(2);
-        {
-            let _armed = faultpoint::arm(vec![("s".to_string(), 3), ("s".to_string(), 5)]);
-            let out = exec.try_map_n("s", 8, |i| {
-                faultpoint::hit("s", i);
-                faultpoint::hit("other", i); // not armed for this stage
-                i
-            });
-            let faulted: Vec<usize> =
-                out.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i).collect();
-            assert_eq!(faulted, vec![3, 5]);
-            assert!(out[3].as_ref().is_err_and(|f| f.message.contains("injected fault")));
-        }
-        // Guard dropped: the same run is fault-free.
+    fn fault_plan_injects_only_its_points_and_only_on_its_executor() {
+        let plain = Executor::new(2);
+        let exec = plain
+            .clone()
+            .with_faults(FaultPoints::new([("s".to_string(), 3), ("s".to_string(), 5)]));
         let out = exec.try_map_n("s", 8, |i| {
-            faultpoint::hit("s", i);
+            exec.faults().hit("s", i);
+            exec.faults().hit("other", i); // not armed for this stage
+            i
+        });
+        let faulted: Vec<usize> =
+            out.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i).collect();
+        assert_eq!(faulted, vec![3, 5]);
+        assert!(out[3].as_ref().is_err_and(|f| f.message.contains("injected fault")));
+        // An executor without the plan runs the same map fault-free,
+        // though it shares the pool.
+        let out = plain.try_map_n("s", 8, |i| {
+            plain.faults().hit("s", i);
             i
         });
         assert!(out.iter().all(Result::is_ok));
     }
 
     #[test]
+    fn fault_plan_parses_stage_index_lists_and_rejects_typos() {
+        let plan = FaultPoints::parse(" embed:1, timeout:classify:2 ,").expect("valid plan");
+        assert!(plan.contains("embed", 1) && !plan.contains("embed", 2));
+        assert!(plan.timeout_armed("classify", 2) && !plan.contains("classify", 2));
+        assert_eq!(FaultPoints::parse("").expect("empty plan"), FaultPoints::default());
+        for bad in ["embed:x", "embed", ":3", "embed:1,featurize:-1"] {
+            let err = FaultPoints::parse(bad).expect_err(bad);
+            assert!(err.contains(faultpoint::FAULTPOINT_ENV), "{bad}: {err}");
+        }
+        assert!(FaultPoints::parse("embed:1,embed:x").unwrap_err().contains("\"embed:x\""));
+    }
+
+    #[test]
     fn windowed_map_concatenates_identically_to_one_call() {
-        let _armed = faultpoint::arm(vec![("w".to_string(), 4), ("w".to_string(), 9)]);
+        let faults = FaultPoints::new([("w".to_string(), 4), ("w".to_string(), 9)]);
         for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
+            let exec = Executor::new(threads).with_faults(faults.clone());
             let whole = exec.try_map_n("w", 13, |i| {
-                faultpoint::hit("w", i);
+                exec.faults().hit("w", i);
                 i * i
             });
             for window in [1, 2, 3, 5, 13, 100] {
                 let windowed = exec.try_map_windowed("w", 13, window, |i| {
-                    faultpoint::hit("w", i);
+                    exec.faults().hit("w", i);
                     i * i
                 });
                 assert_eq!(windowed.len(), whole.len(), "threads={threads} window={window}");
@@ -973,9 +973,9 @@ mod tests {
 
     #[test]
     fn armed_timeout_point_faults_without_running_the_item() {
-        let _armed = faultpoint::arm(vec![("timeout:slow".to_string(), 2)]);
+        let faults = FaultPoints::new([("timeout:slow".to_string(), 2)]);
         for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
+            let exec = Executor::new(threads).with_faults(faults.clone());
             let ran = AtomicUsize::new(0);
             let out = exec.try_map_n_within("slow", 5, None, |i| {
                 ran.fetch_add(1, Ordering::SeqCst);
@@ -1105,7 +1105,6 @@ mod tests {
 
     #[test]
     fn workers_survive_item_panics_and_serve_later_maps() {
-        let _armed = faultpoint::arm(Vec::new()); // silence hook + exclusivity
         let exec = Executor::new(2);
         let out = exec.try_map_n("first", 8, |i| {
             if i == 5 {
@@ -1133,11 +1132,9 @@ mod tests {
             n in 1usize..48,
             fault_at in proptest::collection::vec(0usize..48, 0..6),
         ) {
-            let points: Vec<(String, usize)> =
-                fault_at.iter().map(|&i| ("prop".to_string(), i)).collect();
-            let _armed = faultpoint::arm(points);
+            let faults = FaultPoints::new(fault_at.iter().map(|&i| ("prop".to_string(), i)));
             let work = |i: usize| {
-                faultpoint::hit("prop", i);
+                faults.hit("prop", i);
                 (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7
             };
             let base = Executor::single().try_map_n("prop", n, work);

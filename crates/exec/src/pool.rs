@@ -36,6 +36,7 @@
 //! returns only after every participant has checked back in — no worker
 //! can touch the closure (or anything it borrows) once `run` returns.
 
+use crate::FaultPoints;
 use matelda_obs::{Obs, Val};
 use std::any::Any;
 use std::cell::Cell;
@@ -46,10 +47,10 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The faultpoint a wedged-worker regression test arms (index = worker
+/// The fault point a wedged-worker regression test plans (index = worker
 /// id): the armed worker sleeps through shutdown instead of exiting
 /// promptly, modelling a thread stuck in foreign code. Production never
-/// arms it.
+/// plans it.
 pub const WEDGE_FAULTPOINT: &str = "pool:wedge";
 
 /// How long a wedged worker sleeps when [`WEDGE_FAULTPOINT`] is armed —
@@ -122,6 +123,8 @@ struct PoolState {
     /// waits (bounded) for this to reach the spawned count before
     /// joining — a wedged worker keeps the count short and is detached.
     exited: usize,
+    /// The executor's fault plan; workers consult its wedge point.
+    faults: FaultPoints,
 }
 
 struct Shared {
@@ -175,6 +178,7 @@ impl Pool {
                     panic: None,
                     shutdown: false,
                     exited: 0,
+                    faults: FaultPoints::default(),
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
@@ -204,6 +208,12 @@ impl Pool {
     /// `Executor` — so a disabled handle (the default) costs nothing.
     pub fn attach_obs(&self, obs: &Obs) {
         *self.obs.lock().unwrap_or_else(PoisonError::into_inner) = obs.clone();
+    }
+
+    /// Sets the fault plan whose [`WEDGE_FAULTPOINT`] points wedge
+    /// workers at shutdown (see [`crate::Executor::with_faults`]).
+    pub(crate) fn set_faults(&self, faults: &FaultPoints) {
+        self.shared.state.lock().unwrap_or_else(PoisonError::into_inner).faults = faults.clone();
     }
 
     /// Spawns the worker threads on first use.
@@ -340,10 +350,11 @@ fn worker_loop(shared: &Shared, id: usize) {
     let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
         if state.shutdown {
+            let wedged = state.faults.contains(WEDGE_FAULTPOINT, id);
             drop(state);
             // Test hook: a "wedged" worker stalls past any reasonable join
             // deadline so the bounded-drop path can be exercised.
-            if crate::faultpoint::is_armed(WEDGE_FAULTPOINT, id) {
+            if wedged {
                 std::thread::sleep(WEDGE_SLEEP);
             }
             let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -560,7 +571,6 @@ mod tests {
 
     #[test]
     fn clean_shutdown_reports_no_leaked_workers() {
-        let _guard = crate::faultpoint::quiesce();
         let obs = Obs::enabled();
         let pool = Pool::new(3);
         pool.attach_obs(&obs);
@@ -573,9 +583,9 @@ mod tests {
 
     #[test]
     fn wedged_worker_is_detached_and_reported_instead_of_hanging_drop() {
-        let _guard = crate::faultpoint::arm([(WEDGE_FAULTPOINT.to_owned(), 1)]);
         let obs = Obs::enabled();
         let pool = Pool::new(2);
+        pool.set_faults(&FaultPoints::new([(WEDGE_FAULTPOINT.to_owned(), 1)]));
         pool.attach_obs(&obs);
         pool.set_join_deadline(Duration::from_millis(100));
         pool.run(2, &|_| {});

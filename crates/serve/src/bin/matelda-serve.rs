@@ -11,6 +11,7 @@
 //! client sends a shutdown request, then drains and exits 0. Exit
 //! codes: 0 clean shutdown, 1 runtime failure (bind/state-dir), 2 usage.
 
+use matelda_exec::FaultPoints;
 use matelda_serve::{serve, ServeOptions};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -96,12 +97,12 @@ fn run() -> Result<(), (u8, String)> {
         hold: None,
         state_budget_bytes,
         strict_durability,
+        // Test fault plan from the environment, exactly like the CLI:
+        // chaos suites inject stage panics into daemon-side runs this way.
+        faults: FaultPoints::from_env().map_err(|e| (2, e))?,
     };
     let trace_dir = flags.get("trace").map(PathBuf::from);
     let obs = opts.obs.clone();
-    // Arm test faultpoints from the environment, exactly like the CLI:
-    // chaos suites inject stage panics into daemon-side runs this way.
-    matelda_exec::faultpoint::arm_from_env();
     let handle = serve(opts).map_err(|e| (1, format!("cannot start daemon: {e}")))?;
     // Explicit flush: stdout is block-buffered when piped, and test
     // harnesses wait on this exact line to learn the bound port.

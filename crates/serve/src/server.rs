@@ -36,7 +36,7 @@ use matelda_core::{
     CkptError, DomainFolding, Durability, DurabilityPolicy, FaultPolicy, Matelda, MateldaConfig,
     TrainingStrategy,
 };
-use matelda_exec::{panic_message, Executor};
+use matelda_exec::{panic_message, Executor, FaultPoints};
 use matelda_obs::{Obs, Val};
 use std::collections::HashMap;
 use std::io;
@@ -114,6 +114,10 @@ pub struct ServeOptions {
     /// before doing any work.
     #[doc(hidden)]
     pub hold: Option<Arc<Latch>>,
+    /// Test seam: the fault plan every run of this daemon carries (see
+    /// [`matelda_exec::faultpoint`]); empty by default.
+    #[doc(hidden)]
+    pub faults: FaultPoints,
 }
 
 impl Default for ServeOptions {
@@ -128,6 +132,7 @@ impl Default for ServeOptions {
             state_budget_bytes: 0,
             strict_durability: false,
             hold: None,
+            faults: FaultPoints::default(),
         }
     }
 }
@@ -267,6 +272,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<ServerHandle> {
     // executor (sharing the pool); shutdown leak reports go to the
     // daemon's obs, bounded by the join deadline.
     let executor = Executor::new(opts.threads)
+        .with_faults(opts.faults.clone())
         .with_pool_obs(&opts.obs)
         .with_join_deadline(Duration::from_secs(2));
     let daemon = Arc::new(Daemon {

@@ -2,13 +2,13 @@
 //! of the service robustness contract, exercised against a real
 //! listening daemon with real client connections.
 //!
-//! All tests share one process, and faultpoint arming is process-global,
-//! so every test takes the file-local [`serial`] lock first — detection
+//! All tests share one process and run in parallel. A fault plan
+//! belongs to the daemon whose `ServeOptions` carry it, so detection
 //! runs never observe another test's injected faults.
 
 use matelda_chaos::{corrupt_file, Corruption};
 use matelda_core::{DomainFolding, Matelda, MateldaConfig};
-use matelda_exec::faultpoint;
+use matelda_exec::FaultPoints;
 use matelda_lakegen::QuintetLake;
 use matelda_obs::Obs;
 use matelda_serve::{
@@ -18,18 +18,9 @@ use matelda_serve::{
 use matelda_table::{diff_lakes, read_lake_from_dir_with, write_lake_to_dir, Oracle, ReadOptions};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 const BUDGET: u64 = 20;
-
-/// Serializes the tests in this binary: faultpoint plans are
-/// process-global, so a detection running concurrently with another
-/// test's armed fault would quarantine for the wrong reason.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("matelda_serve_{tag}_{}", std::process::id()));
@@ -39,13 +30,26 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Writes a dirty/clean lake pair under a fresh temp root.
 fn write_pair(tag: &str, gen_seed: u64) -> (PathBuf, PathBuf, PathBuf) {
+    write_first_tables(tag, gen_seed, usize::MAX)
+}
+
+/// [`write_pair`] keeping only the lake's first `n_tables` tables.
+fn write_first_tables(tag: &str, gen_seed: u64, n_tables: usize) -> (PathBuf, PathBuf, PathBuf) {
     let root = tmp_dir(tag);
     let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(gen_seed);
+    let keep: Vec<usize> = (0..lake.dirty.n_tables().min(n_tables)).collect();
     let dirty = root.join("dirty");
     let clean = root.join("clean");
-    write_lake_to_dir(&lake.dirty, &dirty).expect("write dirty lake");
-    write_lake_to_dir(&lake.clean, &clean).expect("write clean lake");
+    write_lake_to_dir(&lake.dirty.project(&keep), &dirty).expect("write dirty lake");
+    write_lake_to_dir(&lake.clean.project(&keep), &clean).expect("write clean lake");
     (root, dirty, clean)
+}
+
+/// The number of columns of the lake in `dir`: the classify stage's
+/// work items under the default per-column training, so a fault point
+/// at `classify[n_columns]` is reached only by larger lakes.
+fn n_columns(dir: &Path) -> usize {
+    read_lake_from_dir_with(dir, &ReadOptions::strict()).expect("lake").0.n_columns()
 }
 
 /// What an uninterrupted, daemon-free run of the same job produces —
@@ -105,7 +109,6 @@ fn await_counter(obs: &Obs, name: &str, want: u64) {
 
 #[test]
 fn daemon_answer_is_digest_equal_to_a_direct_run() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("direct", 11);
     let baseline =
         direct_digest(&dirty, &clean, MateldaConfig { seed: 5, ..Default::default() }, 20);
@@ -125,7 +128,6 @@ fn daemon_answer_is_digest_equal_to_a_direct_run() {
 
 #[test]
 fn memo_hit_answers_without_running_any_stage() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("memo", 12);
     let obs = Obs::enabled();
     let (handle, addr, state) =
@@ -158,7 +160,6 @@ fn memo_hit_answers_without_running_any_stage() {
 
 #[test]
 fn corrupted_cache_entry_is_recomputed_never_served() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("corrupt", 13);
     let obs = Obs::enabled();
     let (handle, addr, state) =
@@ -199,7 +200,6 @@ fn corrupted_cache_entry_is_recomputed_never_served() {
 
 #[test]
 fn concurrent_tenants_match_their_serial_baselines_at_every_width() {
-    let _s = serial();
     // Two tenants: different lakes, different seeds, different variants.
     let (root_a, dirty_a, clean_a) = write_pair("tenant_a", 21);
     let (root_b, dirty_b, clean_b) = write_pair("tenant_b", 22);
@@ -246,7 +246,6 @@ fn concurrent_tenants_match_their_serial_baselines_at_every_width() {
 
 #[test]
 fn overload_degrades_to_explicit_busy_not_unbounded_queueing() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("busy", 14);
     let obs = Obs::enabled();
     let hold = Latch::new();
@@ -299,25 +298,46 @@ fn overload_degrades_to_explicit_busy_not_unbounded_queueing() {
 
 #[test]
 fn a_deadline_degrades_the_run_and_the_daemon_survives() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("deadline", 15);
-    let (handle, addr, state) =
-        start("deadline_state", ServeOptions { threads: 2, ..Default::default() });
-
-    // Deterministic deadline: the armed timeout hook makes one classify
-    // item read as deadline-exceeded, with a wall-clock budget (60s)
-    // that never actually fires.
-    let degraded = {
-        let _armed = faultpoint::arm([("timeout:classify".to_string(), 0)]);
-        detect_ok(addr, &DetectJob { deadline_ms: 60_000, ..job(&dirty, &clean, 6) })
-    };
+    // A smaller lake whose classify stage never reaches the daemon's
+    // timeout point.
+    let (small_root, small_dirty, small_clean) = write_first_tables("deadline_small", 15, 2);
+    // Deterministic deadline: the daemon's timeout point makes one
+    // classify item read as deadline-exceeded, with a wall-clock budget
+    // (60s) that never actually fires.
+    let point = n_columns(&small_dirty);
+    assert!(n_columns(&dirty) > point);
+    let faults = FaultPoints::new([("timeout:classify".to_string(), point)]);
+    // One slot and no queue: had the degraded run kept its admission
+    // slot, the next job would be answered Busy.
+    let (handle, addr, state) = start(
+        "deadline_state",
+        ServeOptions { threads: 2, max_active: 1, max_queued: 0, faults, ..Default::default() },
+    );
+    let degraded = detect_ok(addr, &DetectJob { deadline_ms: 60_000, ..job(&dirty, &clean, 6) });
     // The contract: a blown deadline produces a degraded *answer* — it
     // never kills the request (no Faulted), let alone the daemon.
     assert!(!degraded.cached);
 
-    // The daemon is fully alive: the same job without a deadline (a
-    // different manifest key — the deadline is part of the config)
-    // matches the uninterrupted baseline.
+    // The daemon is fully alive: the next job it admits runs every
+    // stage and matches its uninterrupted baseline.
+    let small_baseline = direct_digest(
+        &small_dirty,
+        &small_clean,
+        MateldaConfig { seed: 6, ..Default::default() },
+        20,
+    );
+    let small_run = detect_ok(addr, &job(&small_dirty, &small_clean, 6));
+    assert_eq!(small_run.digest, small_baseline);
+    assert!(!small_run.cached);
+    stop(addr, handle);
+
+    // The same job without a deadline (a different manifest key — the
+    // deadline is part of the config) matches the uninterrupted
+    // baseline. That run would reach the planned point, so it goes to a
+    // second daemon that carries no plan.
+    let (handle, addr, clean_state) =
+        start("deadline_clean_state", ServeOptions { threads: 2, ..Default::default() });
     let baseline =
         direct_digest(&dirty, &clean, MateldaConfig { seed: 6, ..Default::default() }, 20);
     let clean_run = detect_ok(addr, &job(&dirty, &clean, 6));
@@ -325,37 +345,72 @@ fn a_deadline_degrades_the_run_and_the_daemon_survives() {
 
     stop(addr, handle);
     let _ = std::fs::remove_dir_all(root);
+    let _ = std::fs::remove_dir_all(small_root);
     let _ = std::fs::remove_dir_all(state);
+    let _ = std::fs::remove_dir_all(clean_state);
 }
 
 #[test]
 fn a_faulted_run_answers_its_own_client_and_the_pool_keeps_serving() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("fault", 16);
+    // A smaller lake whose classify stage never reaches the daemon's
+    // fault point.
+    let (small_root, small_dirty, small_clean) = write_first_tables("fault_small", 16, 2);
     let obs = Obs::enabled();
-    let (handle, addr, state) =
-        start("fault_state", ServeOptions { threads: 2, obs: obs.clone(), ..Default::default() });
+    // A fault injected after the first five stages have committed: the
+    // run is FaultPolicy::Fail, so the classify item's panic fails the
+    // run itself.
+    let point = n_columns(&small_dirty);
+    assert!(n_columns(&dirty) > point);
+    let faults = FaultPoints::new([("classify".to_string(), point)]);
+    // One slot and no queue: had the faulted run kept its admission
+    // slot, the next job would be answered Busy.
+    let (handle, addr, state) = start(
+        "fault_state",
+        ServeOptions {
+            threads: 2,
+            max_active: 1,
+            max_queued: 0,
+            obs: obs.clone(),
+            faults,
+            ..Default::default()
+        },
+    );
     let j = job(&dirty, &clean, 8);
 
-    // A fault injected past every stage (the finalize point runs under
-    // FaultPolicy::Fail semantics — it panics the run itself).
+    match request(addr, &Request::Detect(DetectJob { fresh: true, ..j.clone() }))
+        .expect("the connection must survive a faulted run")
     {
-        let _armed = faultpoint::arm([("finalize".to_string(), 0)]);
-        match request(addr, &Request::Detect(DetectJob { fresh: true, ..j.clone() }))
-            .expect("the connection must survive a faulted run")
-        {
-            Response::Error { kind, message } => {
-                assert_eq!(kind, ErrorKind::Faulted);
-                assert!(message.contains("injected fault"), "got: {message}");
-            }
-            other => panic!("expected a Faulted error, got {other:?}"),
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::Faulted);
+            assert!(message.contains("injected fault"), "got: {message}");
         }
+        other => panic!("expected a Faulted error, got {other:?}"),
     }
     assert_eq!(obs.counter("serve.faulted"), Some(1));
 
     // Quarantine is request-scoped: the shared pool and the daemon keep
-    // serving, and the retried job — resuming from the checkpoints the
-    // faulted run already committed — matches the direct baseline.
+    // serving — the next job it admits runs every stage and matches its
+    // direct baseline.
+    let small_baseline = direct_digest(
+        &small_dirty,
+        &small_clean,
+        MateldaConfig { seed: 8, ..Default::default() },
+        20,
+    );
+    let small_run = detect_ok(addr, &job(&small_dirty, &small_clean, 8));
+    assert_eq!(small_run.digest, small_baseline);
+    assert!(!small_run.cached);
+    assert_eq!(obs.counter("serve.faulted"), Some(1));
+    stop(addr, handle);
+
+    // The retried job — resuming from the checkpoints the faulted run
+    // already committed — matches the direct baseline. It would reach
+    // the planned point again, so it goes to a daemon over the same
+    // state directory that carries no plan.
+    let handle = serve(ServeOptions { state_dir: state.clone(), threads: 2, ..Default::default() })
+        .expect("daemon must bind");
+    let addr = handle.addr();
     let baseline =
         direct_digest(&dirty, &clean, MateldaConfig { seed: 8, ..Default::default() }, 20);
     let retried = detect_ok(addr, &j);
@@ -364,12 +419,12 @@ fn a_faulted_run_answers_its_own_client_and_the_pool_keeps_serving() {
 
     stop(addr, handle);
     let _ = std::fs::remove_dir_all(root);
+    let _ = std::fs::remove_dir_all(small_root);
     let _ = std::fs::remove_dir_all(state);
 }
 
 #[test]
 fn shutdown_drains_in_flight_runs_and_refuses_new_ones() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("drain", 17);
     let obs = Obs::enabled();
     let hold = Latch::new();
@@ -423,7 +478,6 @@ fn shutdown_drains_in_flight_runs_and_refuses_new_ones() {
 
 #[test]
 fn a_small_state_budget_is_never_exceeded_and_the_daemon_keeps_answering() {
-    let _s = serial();
     // Size one run's state footprint with an unbudgeted daemon first.
     let (root, dirty, clean) = write_pair("budget", 31);
     let (handle, addr, state) =
@@ -484,7 +538,6 @@ fn a_small_state_budget_is_never_exceeded_and_the_daemon_keeps_answering() {
 
 #[test]
 fn an_unpayable_budget_degrades_by_default_and_refuses_under_strict() {
-    let _s = serial();
     let (root, dirty, clean) = write_pair("nospace", 32);
     let baseline =
         direct_digest(&dirty, &clean, MateldaConfig { seed: 12, ..Default::default() }, 20);

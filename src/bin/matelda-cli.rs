@@ -62,9 +62,10 @@
 //! 4 quarantine ceiling exceeded, 5 checkpoint rejected.
 
 use matelda::core::{
-    analyze_failures, CkptError, DomainFolding, Durability, FaultPolicy, Matelda, MateldaConfig,
-    Obs, Oracle, RunArtifacts, TrainingStrategy,
+    analyze_failures, CkptError, DomainFolding, Durability, Executor, FaultPolicy, Matelda,
+    MateldaConfig, Obs, Oracle, RunArtifacts, TrainingStrategy,
 };
+use matelda::exec::FaultPoints;
 use matelda::fd::mine_approximate;
 use matelda::lakegen::{DGovLake, GitTablesLake, QuintetLake, ReinLake, WdcLake};
 use matelda::table::{diff_lakes, Confusion, IngestReport, Lake, ReadOptions};
@@ -180,19 +181,20 @@ exit codes:
 ";
 
 fn main() -> ExitCode {
-    // Chaos-test hook: MATELDA_FAULTPOINTS arms deterministic stage
-    // faults in this process (no-op when unset).
-    matelda::exec::faultpoint::arm_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
         return ExitCode::SUCCESS;
     }
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("detect") => cmd_detect(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        other => Err(CliError::Usage(format!(
+    // Chaos-test hook: MATELDA_FAULTPOINTS plans deterministic stage
+    // faults for this process's detection run (none when unset; a
+    // malformed plan is a usage error, so a typo cannot arm nothing).
+    let result = match (FaultPoints::from_env(), args.first().map(String::as_str)) {
+        (Err(e), _) => Err(CliError::Usage(e)),
+        (Ok(_), Some("generate")) => cmd_generate(&args[1..]),
+        (Ok(faults), Some("detect")) => cmd_detect(&args[1..], faults),
+        (Ok(_), Some("profile")) => cmd_profile(&args[1..]),
+        (Ok(_), other) => Err(CliError::Usage(format!(
             "usage: matelda-cli <generate|detect|profile> ... (--help for details){}",
             other.map_or(String::new(), |o| format!("; got {o:?}"))
         ))),
@@ -355,7 +357,7 @@ fn print_ingest_notes(label: &str, report: &IngestReport) {
     }
 }
 
-fn cmd_detect(args: &[String]) -> CliResult {
+fn cmd_detect(args: &[String], faults: FaultPoints) -> CliResult {
     let (pos, flags) = parse_flags(args);
     check_flags(
         &flags,
@@ -460,7 +462,9 @@ fn cmd_detect(args: &[String]) -> CliResult {
     // documented runtime-failure class: map it to exit 1, not a raw
     // panic trace with exit 101.
     let obs = if trace_dir.is_some() || want_metrics { Obs::enabled() } else { Obs::disabled() };
-    let pipeline = Matelda::new(config).with_obs(obs.clone());
+    let pipeline = Matelda::new(config)
+        .with_obs(obs.clone())
+        .with_executor(Executor::new(threads).with_faults(faults));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(matelda::core::DetectionResult, Option<RunArtifacts>), CkptError> {
             if failure_report_dir.is_some() {

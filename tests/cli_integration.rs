@@ -69,6 +69,30 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn malformed_faultpoints_are_rejected_as_bad_arguments() {
+    let absent = tmp_dir();
+    let absent = absent.to_str().expect("utf-8 temp path");
+    let detect = |plan: &str| {
+        cli()
+            .env("MATELDA_FAULTPOINTS", plan)
+            .args(["detect", absent, "--clean", absent])
+            .output()
+            .expect("spawn")
+    };
+    // A typo must fail loudly (exit 2, naming the entry), not arm nothing.
+    for bad in ["embed:x", "embed:1,classify"] {
+        let out = detect(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let entry = bad.rsplit(',').next().expect("an entry");
+        assert!(stderr.contains(&format!("{entry:?}")), "{bad:?}: {stderr}");
+    }
+    // An empty plan is no plan: the run proceeds (and fails ingesting
+    // the absent lake, exit 3).
+    assert_eq!(detect("").status.code(), Some(3), "an empty plan is valid");
+}
+
+#[test]
 fn detect_requires_clean_dir() {
     let out = cli().args(["detect", "/tmp/nowhere"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2), "bad arguments exit 2");
