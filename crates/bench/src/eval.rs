@@ -220,7 +220,7 @@ pub struct EvalRecorder {
     experiment: String,
     scale: String,
     path: PathBuf,
-    cells: Vec<EvalCell>,
+    pub(crate) cells: Vec<EvalCell>,
 }
 
 impl EvalRecorder {

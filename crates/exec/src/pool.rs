@@ -119,10 +119,11 @@ struct PoolState {
     panic: Option<Box<dyn Any + Send>>,
     /// Set by `Drop`; workers exit their loop.
     shutdown: bool,
-    /// Workers that have observed shutdown and left their loop. `Drop`
-    /// waits (bounded) for this to reach the spawned count before
-    /// joining — a wedged worker keeps the count short and is detached.
-    exited: usize,
+    /// Ids of the workers that have observed shutdown and left their
+    /// loop. `Drop` waits (bounded) for every spawned worker to appear
+    /// here, then joins exactly these — a wedged worker never appears
+    /// and is detached.
+    exited: Vec<usize>,
     /// The executor's fault plan; workers consult its wedge point.
     faults: FaultPoints,
 }
@@ -177,7 +178,7 @@ impl Pool {
                     remaining: 0,
                     panic: None,
                     shutdown: false,
-                    exited: 0,
+                    exited: Vec::new(),
                     faults: FaultPoints::default(),
                 }),
                 work: Condvar::new(),
@@ -302,14 +303,14 @@ impl Drop for Pool {
         }
         self.shared.work.notify_all();
         // Wait — bounded — for every worker to acknowledge shutdown.
-        // Workers bump `exited` on their way out; a wedged one keeps the
-        // count short until the deadline expires.
+        // Workers record their id in `exited` on their way out; a wedged
+        // one stays missing until the deadline expires.
         let spawned = self.spawned.load(Ordering::Acquire);
         let deadline =
             Instant::now() + Duration::from_millis(self.join_deadline_ms.load(Ordering::Relaxed));
-        {
+        let exited = {
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            while state.exited < spawned {
+            while state.exited.len() < spawned {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     break;
@@ -321,14 +322,18 @@ impl Drop for Pool {
                     .unwrap_or_else(PoisonError::into_inner);
                 state = next;
             }
-        }
+            std::mem::take(&mut state.exited)
+        };
         let obs = self.obs.get_mut().unwrap_or_else(PoisonError::into_inner).clone();
         let mut leaked = 0u64;
-        for handle in self.handles.get_mut().unwrap_or_else(PoisonError::into_inner).drain(..) {
-            if handle.is_finished() {
+        let handles = self.handles.get_mut().unwrap_or_else(PoisonError::into_inner).drain(..);
+        for (id, handle) in (1..).zip(handles) {
+            if exited.contains(&id) {
+                // Acknowledged: the worker has left its loop, so the join
+                // waits at most for its thread teardown.
                 let _ = handle.join();
             } else {
-                // Past the deadline and still running: detach instead of
+                // Never acknowledged by the deadline: detach instead of
                 // hanging shutdown, and name the thread we abandoned.
                 leaked += 1;
                 let name = handle.thread().name().unwrap_or("<unnamed>").to_owned();
@@ -358,7 +363,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                 std::thread::sleep(WEDGE_SLEEP);
             }
             let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.exited += 1;
+            state.exited.push(id);
             shared.done.notify_all();
             return;
         }
